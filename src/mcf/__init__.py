@@ -25,15 +25,11 @@ from .induction import (
 from .catalog import NAMES as CATALOG_NAMES
 from .catalog import DomainEscape, build, conjugacy_check, gasket_survival
 from .stochastic import (
-    Escape,
     Jump,
     JumpCoord,
-    LeaveSubgraph,
     Lose,
-    MinMax,
     StepCount,
     StoppingTime,
-    SuffixPattern,
     Win,
     cylinder_measure,
     edge_law,

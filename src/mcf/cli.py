@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import secrets
 import sys
 from fractions import Fraction
@@ -40,13 +39,6 @@ class DomainFailure(click.ClickException):
 
 class StrictFailure(click.ClickException):
     exit_code = 3
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("MCF_THREADS", "0"))) or None
-    except ValueError:
-        return None
 
 
 def _load_system(graph, catalog, dim):
@@ -117,7 +109,6 @@ def _base(command, **params):
     return {
         "command": command,
         "version": __version__,
-        "threads": _threads(),
         "params": {k: v for k, v in params.items()},
     }
 
@@ -221,7 +212,7 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
         jump_vs_win = {}
         for a, letter in enumerate(system.alphabet):
             r = estimate_order_prob(
-                system, base_vertex, q, Jump(tau), Win(a),
+                system, base_vertex, q, Jump(tau), Win(letter),
                 trials, seed + 1 + a, max_steps=10**4, strict=True,
             )
             jump_vs_win[letter] = {
@@ -291,9 +282,10 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
     def resolve(labels):
         cur, idxs = v, []
         for lab in labels:
-            e = system.edge_by_label(cur, lab)
-            if e is None:
-                raise DomainFailure(f"no edge labeled {lab!r} out of {cur!r}")
+            try:
+                e = system.edge_by_label(cur, lab)
+            except GraphError as exc:
+                raise DomainFailure(str(exc))
             idxs.append(e)
             cur = system.edges[e].dst
         return idxs

@@ -2,17 +2,18 @@
 
 The law of a random path is driven by a positive row vector q: at each vertex
 an out-edge is drawn with probability proportional to the q-coordinate of its
-label, after which the loser coordinate is added to every winner coordinate
-(q <- q M_e).  Cylinder masses of the projective measures come in exact
-rational form; sampling engines exist in two flavors, an exact per-trial one
-and a vectorized float one for large experiments.
+label, after which the loser coordinate becomes the sum of the competing
+coordinates (q <- q M_e).  Cylinder masses of the projective measures come in
+exact rational form; sampling engines exist in two flavors, an exact per-trial
+one and vectorized batch ones for large experiments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,10 +107,30 @@ def is_balanced(q, labels_idx, k):
 # -- stopping times --------------------------------------------------------
 
 
-class StoppingTime:
-    """Predicate on walk states, evaluated after every step."""
+class Walks(NamedTuple):
+    """Walk states, one row per lane, as the stopping times read them.
 
-    def fired(self, walk):
+    ``q`` and ``q0`` are the current and the start distortion, scaled by the
+    same factor in each lane; ``q`` may end in a column of zeros past the
+    alphabet.  ``loser`` is the label index of the last loser, -1 before the
+    first step.  ``present`` holds the label indices that competed at the
+    last source vertex, padded with indices past the alphabet, and has no
+    columns before the first step.
+    """
+
+    q: np.ndarray
+    q0: np.ndarray
+    loser: np.ndarray
+    present: np.ndarray
+    step: int
+
+
+class StoppingTime:
+    """Rule on walk states, evaluated at step 0 and after every step."""
+
+    def fires(self, walks, index):
+        """Boolean array over the lanes of ``walks``; ``index`` maps labels
+        to coordinates."""
         raise NotImplementedError
 
 
@@ -117,8 +138,8 @@ class StoppingTime:
 class Jump(StoppingTime):
     tau: int
 
-    def fired(self, walk):
-        return max(walk.q) >= self.tau * walk.max_q0
+    def fires(self, walks, index):
+        return walks.q.max(axis=1) >= self.tau * walks.q0.max(axis=1)
 
 
 @dataclass(frozen=True)
@@ -126,103 +147,34 @@ class JumpCoord(StoppingTime):
     label: str
     tau: int
 
-    def fired(self, walk):
-        i = walk.system.label_index[self.label]
-        return walk.q[i] >= self.tau * walk.q0[i]
+    def fires(self, walks, index):
+        a = index[self.label]
+        return walks.q[:, a] >= self.tau * walks.q0[:, a]
 
 
 @dataclass(frozen=True)
 class Win(StoppingTime):
     label: str
 
-    def fired(self, walk):
-        if walk.last_edge is None:
-            return False
-        e = walk.system.edges[walk.last_edge]
-        return e.label != self.label and self.label in walk.system.out_labels(e.src)
+    def fires(self, walks, index):
+        a = index[self.label]
+        return (walks.loser != a) & (walks.present == a).any(axis=1)
 
 
 @dataclass(frozen=True)
 class Lose(StoppingTime):
     label: str
 
-    def fired(self, walk):
-        return (
-            walk.last_edge is not None
-            and walk.system.edges[walk.last_edge].label == self.label
-        )
-
-
-@dataclass(frozen=True)
-class Escape(StoppingTime):
-    """Some coordinate outside the label set catches the inside ones.
-
-    The default compares current distortion on both sides; the "prose"
-    variant compares against the initial inside minimum instead.
-    """
-
-    labels: tuple
-    variant: str = "display"
-
-    def fired(self, walk):
-        sys_ = walk.system
-        inside = {sys_.label_index[l] for l in self.labels}
-        outside = [i for i in range(sys_.dim) if i not in inside]
-        if not outside or not inside:
-            raise GraphError("Escape needs a proper nonempty label set")
-        lhs = max(walk.q[i] for i in outside)
-        ref = walk.q if self.variant == "display" else walk.q0
-        return lhs >= min(ref[i] for i in inside)
-
-
-@dataclass(frozen=True)
-class MinMax(StoppingTime):
-    labels: tuple
-
-    def fired(self, walk):
-        sys_ = walk.system
-        inside = [sys_.label_index[l] for l in self.labels]
-        return min(walk.q[i] for i in inside) >= walk.max_q0
-
-
-@dataclass(frozen=True)
-class SuffixPattern(StoppingTime):
-    labels: tuple
-
-    def fired(self, walk):
-        pat = tuple(self.labels)
-        if len(walk.path) < len(pat):
-            return False
-        tail = walk.path[-len(pat):]
-        return tuple(walk.system.edges[i].label for i in tail) == pat
-
-
-@dataclass(frozen=True)
-class LeaveSubgraph(StoppingTime):
-    edges: frozenset
-
-    def fired(self, walk):
-        return walk.last_edge is not None and walk.last_edge not in self.edges
+    def fires(self, walks, index):
+        return walks.loser == index[self.label]
 
 
 @dataclass(frozen=True)
 class StepCount(StoppingTime):
     n: int
 
-    def fired(self, walk):
-        return walk.step >= self.n
-
-
-@dataclass
-class WalkState:
-    system: object
-    vertex: str
-    q: tuple
-    q0: tuple
-    max_q0: object
-    step: int = 0
-    last_edge: int = None
-    path: list = field(default_factory=list)
+    def fires(self, walks, index):
+        return np.full(len(walks.loser), walks.step >= self.n)
 
 
 @dataclass
@@ -239,23 +191,28 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
 
     ``rng`` may be a Generator or an integer seed.  Coordinates of q stay
     exact (integers stay integers); the random edge choice inverts the exact
-    cumulative law at a dyadic uniform draw.
+    cumulative law at a dyadic uniform draw.  The stopping times see the walk
+    as a batch of one lane.
     """
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(rng)
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
         raise GraphError("q0 must be positive")
-    walk = WalkState(system, vertex, q, tuple(q), max(q))
-    fired_at = {}
-    for j, s in enumerate(stops):
-        if s.fired(walk):
-            fired_at[j] = 0
-    while len(fired_at) < len(stops) and walk.step < max_steps:
-        out = system.out_edges(walk.vertex)
-        if not out:
+    start = np.array([q], dtype=object)
+    index = system.label_index
+    cur, path, fired_at = vertex, [], {}
+    loser, present = -1, ()
+    while True:
+        walks = Walks(np.array([q], dtype=object), start, np.array([loser]),
+                      np.array([present], dtype=np.int64), len(path))
+        for j, s in enumerate(stops):
+            if j not in fired_at and s.fires(walks, index)[0]:
+                fired_at[j] = len(path)
+        out = system.out_edges(cur)
+        if len(fired_at) == len(stops) or len(path) >= max_steps or not out:
             break
-        law = edge_law(system, walk.vertex, walk.q)
+        law = edge_law(system, cur, q)
         u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
         acc = Fraction(0)
         chosen = out[-1]
@@ -264,22 +221,17 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
             if u < acc:
                 chosen = i
                 break
-        e = system.edges[chosen]
-        li = system.label_index[e.label]
-        q = list(walk.q)
+        present = tuple(index[system.edges[i].label] for i in out)
+        loser = index[system.edges[chosen].label]
         # row-vector update q <- q M_e: the losing coordinate absorbs the
         # winners, everything else is unchanged
-        q[li] = sum(q[system.label_index[system.edges[j].label]] for j in out)
-        walk.q = tuple(q)
-        walk.vertex = e.dst
-        walk.last_edge = chosen
-        walk.path.append(chosen)
-        walk.step += 1
-        for j, s in enumerate(stops):
-            if j not in fired_at and s.fired(walk):
-                fired_at[j] = walk.step
+        q = list(q)
+        q[loser] = sum(q[a] for a in present)
+        q = tuple(q)
+        cur = system.edges[chosen].dst
+        path.append(chosen)
     truncated = len(fired_at) < len(stops)
-    return WalkOutcome(walk.path, walk.q, fired_at, truncated, walk.step)
+    return WalkOutcome(path, q, fired_at, truncated, len(path))
 
 
 def estimate_order_prob(
@@ -292,44 +244,27 @@ def estimate_order_prob(
     seed,
     max_steps=10**4,
     strict=False,
-    engine="auto",
+    engine="batch",
 ):
     """Monte Carlo frequency of {A fires no later than B} (or strictly before).
 
-    Per-trial substreams are derived from (seed, trial index) in the exact
-    engine; the batch engine consumes one deterministic stream per call.
+    The exact engine ("exact") derives per-trial substreams from (seed, trial
+    index); the batch engine ("batch") consumes one stream per call.
     """
-    if engine == "auto":
-        engine = "batch" if _batch_supported([stop_a, stop_b]) else "exact"
+    stops = [stop_a, stop_b]
     if engine == "batch":
-        steps = batch_fire_steps(
-            system, vertex, q0, [stop_a, stop_b], trials, seed, max_steps
-        )
-        a, b = steps[0], steps[1]
-        both = (a >= 0) & (b >= 0)
-        if strict:
-            hits = both & (a < b)
-            hits |= (a >= 0) & (b < 0)
-        else:
-            hits = both & (a <= b)
-            hits |= (a >= 0) & (b < 0)
-        truncated = int(((a < 0) | (b < 0)).sum())
-        count = int(hits.sum())
-    else:
-        count = 0
-        truncated = 0
+        a, b = batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps)
+    elif engine == "exact":
+        a, b = np.full((2, trials), -1, dtype=np.int64)
         for t in range(trials):
-            out = sample_walk(
-                system, vertex, q0, [stop_a, stop_b], make_rng(seed, t), max_steps
-            )
-            fa = out.fired_at.get(0)
-            fb = out.fired_at.get(1)
-            if fa is None or fb is None:
-                truncated += 1
-            if fa is not None and (
-                fb is None or (fa < fb if strict else fa <= fb)
-            ):
-                count += 1
+            out = sample_walk(system, vertex, q0, stops, make_rng(seed, t), max_steps)
+            a[t] = out.fired_at.get(0, -1)
+            b[t] = out.fired_at.get(1, -1)
+    else:
+        raise GraphError(f"unknown engine {engine!r}; use 'batch' or 'exact'")
+    first = a < b if strict else a <= b
+    count = int(((a >= 0) & ((b < 0) | first)).sum())
+    truncated = int(((a < 0) | (b < 0)).sum())
     freq = count / trials
     stderr = math.sqrt(max(freq * (1 - freq), 1e-300) / trials)
     return {
@@ -342,145 +277,172 @@ def estimate_order_prob(
     }
 
 
-# -- vectorized batch engine ----------------------------------------------
+# -- vectorized batch engines ---------------------------------------------
+#
+# The three engines share one step: every live lane reads its vertex's row of
+# a padded out-edge table, a chooser picks the losing slot and updates the
+# lane's values, and the lane moves to the slot's target.  The engines differ
+# in the chooser (a q-law draw, or the exact integer minimum) and in what
+# they record.  Lanes retire when they enter a hole, tie, or have nothing
+# left to record, and only then are the lane arrays compacted.
+
+# Rescale q at least this often: a step multiplies max(q) by at most the
+# out-degree, so 64 steps stay inside the float range below out-degree 2**15.
+_RESCALE_EVERY = 64
+
+# Value of the spare column in the exact engine: never the minimum.
+_NEVER_MIN = np.iinfo(np.int64).max
 
 
-_BATCH_KINDS = (Jump, JumpCoord, Win, Lose, Escape, MinMax, StepCount)
+class _OutTable(NamedTuple):
+    """Out-edges of every vertex in ``out_edges`` order, right-aligned.
 
-
-def _batch_supported(stops):
-    return all(isinstance(s, _BATCH_KINDS) for s in stops)
-
-
-def _vertex_tables(system):
-    tables = {}
-    for v in system.vertices:
-        out = system.out_edges(v)
-        labs = np.array(
-            [system.label_index[system.edges[i].label] for i in out], dtype=np.int64
-        )
-        dsts = np.array(
-            [system.vertices.index(system.edges[i].dst) for i in out], dtype=np.int64
-        )
-        tables[system.vertices.index(v)] = (labs, dsts)
-    return tables
-
-
-def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps, renorm=256):
-    """First firing step of each stop for each trial; -1 when truncated.
-
-    Float q with a per-trial log offset; comparisons against the initial
-    distortion go through logarithms, so rescaling never changes a firing
-    decision beyond float precision.
+    Row v of ``label`` and ``target`` gives the label index and the target
+    vertex index of each slot.  Slots before the out-edges are padding: they
+    point at the spare column past the alphabet and back at v.  ``hole``
+    marks the vertices without out-edges, or is None when there are none.
     """
-    if not _batch_supported(stops):
-        raise GraphError("stopping time not supported by the batch engine")
-    n = system.dim
-    rng = make_rng(seed)
-    tables = _vertex_tables(system)
-    v0 = system.vertices.index(vertex)
-    q0f = np.array([float(c) for c in q0], dtype=np.float64)
-    logq0 = np.log(q0f)
-    q = np.tile(q0f, (trials, 1))
-    logoff = np.zeros(trials)
-    verts = np.full(trials, v0, dtype=np.int64)
+
+    label: np.ndarray
+    target: np.ndarray
+    hole: np.ndarray | None
+
+
+def _out_table(system):
+    index = {v: i for i, v in enumerate(system.vertices)}
+    width = max(len(system.out_edges(v)) for v in system.vertices)
+    label = np.full((len(index), width), system.dim, dtype=np.int64)
+    target = np.repeat(np.arange(len(index))[:, None], width, axis=1)
+    for v, name in enumerate(system.vertices):
+        out = system.out_edges(name)
+        for slot, i in enumerate(out, start=width - len(out)):
+            label[v, slot] = system.label_index[system.edges[i].label]
+            target[v, slot] = index[system.edges[i].dst]
+    hole = None
+    if system.holes:
+        hole = np.array([system.is_hole(v) for v in system.vertices])
+    return _OutTable(label, target, hole)
+
+
+class _Lanes:
+    """The live walks of a batch, in compacted arrays.
+
+    ``trial`` is each lane's row in the engine's output, ``vertex`` its
+    vertex index and ``vals`` its values, with one spare column last.
+    """
+
+    def __init__(self, system, vertex, vals):
+        self.trial = np.arange(len(vals))
+        self.vertex = np.full(len(vals), system.vertices.index(vertex))
+        self.vals = vals
+
+    def keep(self, live):
+        """Retire the lanes outside ``live``."""
+        if not live.all():
+            self.__dict__.update({k: a[live] for k, a in vars(self).items()})
+
+
+def _step(table, lanes, choose):
+    """Move every live lane along one out-edge of its vertex.
+
+    Lanes that sit in a hole retire first.  ``choose(vals, labels, rows)``
+    picks a slot per lane and updates ``vals`` in place.  Returns the labels
+    competing at each lane's source vertex and the loser label.
+    """
+    if table.hole is not None:
+        lanes.keep(~table.hole[lanes.vertex])
+    labels = table.label[lanes.vertex]
+    rows = np.arange(len(labels))
+    slot = choose(lanes.vals, labels, rows)
+    lanes.vertex = table.target[lanes.vertex, slot]
+    return labels, labels[rows, slot]
+
+
+def _q_draw(rng):
+    """Chooser of the q-law: a label loses with probability proportional to
+    its coordinate, which then becomes the sum of the competing ones."""
+
+    def choose(q, labels, rows):
+        cum = np.cumsum(np.take_along_axis(q, labels, axis=1), axis=1)
+        total = cum[:, -1]
+        u = rng.random(len(rows)) * total
+        # padding weighs 0 and comes first, so the count always passes over
+        # it, even when u rounds up to the total
+        slot = (u[:, None] >= cum[:, :-1]).sum(axis=1)
+        q[rows, labels[rows, slot]] = total
+        return slot
+
+    return choose
+
+
+def _exact_min(x, labels, rows):
+    """Chooser of the induction: the smallest competing coordinate loses and
+    is subtracted from the other competing ones."""
+    vals = np.take_along_axis(x, labels, axis=1)
+    slot = vals.argmin(axis=1)
+    low = vals[rows, slot]
+    vals -= low[:, None]
+    vals[rows, slot] = low
+    x[rows[:, None], labels] = vals
+    x[:, -1] = _NEVER_MIN  # padding slots wrote to the spare column
+    return slot
+
+
+def _halvings(q):
+    """Per-lane power of two that brings max(q) into [1/2, 1), exactly."""
+    return -np.frexp(q.max(axis=1))[1][:, None]
+
+
+def _q_lanes(system, vertex, q0, trials):
+    q = np.array([float(c) for c in q0] + [0.0])
+    return _Lanes(system, vertex, np.tile(q, (trials, 1)))
+
+
+def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
+    """First firing step of each stop for each trial; -1 when it has not
+    fired by max_steps or the walk entered a hole first.
+
+    q is rescaled by exact powers of two, and each lane's copy of q0 by the
+    same factors, so comparisons of q with multiples of q0 are exact as long
+    as q0 and the sums that make q are exact in floating point.
+    """
+    table = _out_table(system)
+    draw = _q_draw(make_rng(seed))
+    lanes = _q_lanes(system, vertex, q0, trials)
+    lanes.q0 = lanes.vals[:, :-1].copy()
+    index = system.label_index
     fired = np.full((len(stops), trials), -1, dtype=np.int64)
-    active = np.ones(trials, dtype=bool)
-    lose_label = np.full(trials, -1, dtype=np.int64)
-    src_vertex = np.full(trials, -1, dtype=np.int64)
-    # presence[v, a]: label a competes at vertex v
-    presence = np.zeros((len(system.vertices), n), dtype=bool)
-    for vi, v in enumerate(system.vertices):
-        for lab in system.out_labels(v):
-            presence[vi, system.label_index[lab]] = True
-
-    for j, s in enumerate(stops):
-        if isinstance(s, StepCount) and s.n <= 0:
-            fired[j, :] = 0
-
-    for step in range(1, max_steps + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        vsnap = verts[idx].copy()
-        for v in np.unique(vsnap):
-            labs, dsts = tables[int(v)]
-            g = idx[vsnap == v]
-            if labs.size == 0:
-                active[g] = False
-                continue
-            qg = q[g][:, labs]
-            cum = np.cumsum(qg, axis=1)
-            u = rng.random(g.size) * cum[:, -1]
-            choice = (u[:, None] >= cum).sum(axis=1)
-            loser = labs[choice]
-            q[g, loser] = cum[:, -1]
-            verts[g] = dsts[choice]
-            lose_label[g] = loser
-            src_vertex[g] = v
-        logq = np.log(np.maximum(q[idx], 1e-300)) + logoff[idx, None]
+    loser = np.full(trials, -1)
+    present = np.empty((trials, 0), dtype=np.int64)
+    for step in range(max_steps + 1):
+        if step:
+            present, loser = _step(table, lanes, draw)
+        if step % _RESCALE_EVERY == 0:
+            e = _halvings(lanes.vals)
+            lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
+        walks = Walks(lanes.vals, lanes.q0, loser, present, step)
+        pending = fired[:, lanes.trial] < 0
         for j, s in enumerate(stops):
-            un = fired[j, idx] < 0
-            if not un.any():
-                continue
-            sub = idx[un]
-            lq = logq[un]
-            if isinstance(s, Jump):
-                hit = lq.max(axis=1) >= math.log(s.tau) + logq0.max()
-            elif isinstance(s, JumpCoord):
-                a = system.label_index[s.label]
-                hit = lq[:, a] >= math.log(s.tau) + logq0[a]
-            elif isinstance(s, Win):
-                a = system.label_index[s.label]
-                hit = (lose_label[sub] != a) & presence[src_vertex[sub], a]
-            elif isinstance(s, Lose):
-                a = system.label_index[s.label]
-                hit = lose_label[sub] == a
-            elif isinstance(s, Escape):
-                inside = sorted(system.label_index[l] for l in s.labels)
-                outside = [i for i in range(n) if i not in inside]
-                lhs = lq[:, outside].max(axis=1)
-                if s.variant == "display":
-                    hit = lhs >= lq[:, inside].min(axis=1)
-                else:
-                    hit = lhs >= logq0[inside].min()
-            elif isinstance(s, MinMax):
-                inside = sorted(system.label_index[l] for l in s.labels)
-                hit = lq[:, inside].min(axis=1) >= logq0.max()
-            elif isinstance(s, StepCount):
-                hit = np.full(sub.size, step >= s.n)
-            fired[j, sub[hit]] = step
-        active &= (fired < 0).any(axis=0)
-        if step % renorm == 0:
-            m = q.max(axis=1)
-            logoff += np.log(m)
-            q /= m[:, None]
+            hit = pending[j] & s.fires(walks, index)
+            fired[j, lanes.trial[hit]] = step
+            pending[j] &= ~hit
+        lanes.keep(pending.any(axis=0))
+        if not lanes.trial.size:
+            break
     return fired
 
 
 def batch_record_paths(system, vertex, q0, n_steps, trials, seed):
-    """Label index sequences of the first n_steps of q-walks, vectorized."""
-    rng = make_rng(seed)
-    tables = _vertex_tables(system)
-    v0 = system.vertices.index(vertex)
-    q = np.tile(np.array([float(c) for c in q0]), (trials, 1))
-    verts = np.full(trials, v0, dtype=np.int64)
+    """Loser label indices of the first n_steps steps of q-walks, vectorized;
+    -1 from the step at which a walk sits in a hole."""
+    table = _out_table(system)
+    draw = _q_draw(make_rng(seed))
+    lanes = _q_lanes(system, vertex, q0, trials)
     rec = np.full((trials, n_steps), -1, dtype=np.int64)
     for step in range(n_steps):
-        vsnap = verts.copy()
-        for v in np.unique(vsnap):
-            labs, dsts = tables[int(v)]
-            g = np.flatnonzero(vsnap == v)
-            if labs.size == 0:
-                continue
-            qg = q[g][:, labs]
-            cum = np.cumsum(qg, axis=1)
-            u = rng.random(g.size) * cum[:, -1]
-            choice = (u[:, None] >= cum).sum(axis=1)
-            loser = labs[choice]
-            q[g, loser] = cum[:, -1]
-            verts[g] = dsts[choice]
-            rec[g, step] = loser
+        if step % _RESCALE_EVERY == 0:
+            lanes.vals = np.ldexp(lanes.vals, _halvings(lanes.vals))
+        rec[lanes.trial, step] = _step(table, lanes, draw)[1]
     return rec
 
 
@@ -489,56 +451,33 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
 
     Points are integer compositions of 2**bits; the subtractive update only
     ever decreases coordinates so int64 arithmetic stays exact.  Trials that
-    hit a tie are marked with -2 from the tie step onward.
+    hit a tie are marked with -2 from the tie step onward, and trials in a
+    hole with -1.
     """
     rng = make_rng(seed)
     hi = 1 << bits
     n = system.dim
-    cuts = rng.integers(1, hi, size=(trials, n - 1))
-    cuts.sort(axis=1)
-    pts = np.diff(np.concatenate(
-        [np.zeros((trials, 1), np.int64), cuts, np.full((trials, 1), hi, np.int64)],
-        axis=1), axis=1)
-    bad = (pts <= 0).any(axis=1)
-    while bad.any():
-        k = int(bad.sum())
+
+    def compositions(k):
         cuts = rng.integers(1, hi, size=(k, n - 1))
         cuts.sort(axis=1)
-        pts[bad] = np.diff(np.concatenate(
-            [np.zeros((k, 1), np.int64), cuts, np.full((k, 1), hi, np.int64)],
-            axis=1), axis=1)
+        return np.diff(cuts, axis=1, prepend=0, append=hi)
+
+    pts = compositions(trials)
+    bad = (pts <= 0).any(axis=1)
+    while bad.any():
+        pts[bad] = compositions(int(bad.sum()))
         bad = (pts <= 0).any(axis=1)
 
-    tables = _vertex_tables(system)
-    v0 = system.vertices.index(vertex)
-    verts = np.full(trials, v0, dtype=np.int64)
-    alive = np.ones(trials, dtype=bool)
+    table = _out_table(system)
+    lanes = _Lanes(system, vertex, np.append(
+        pts, np.full((trials, 1), _NEVER_MIN), axis=1))
+    del pts
     rec = np.full((trials, n_steps), -1, dtype=np.int64)
     for step in range(n_steps):
-        idx = np.flatnonzero(alive)
-        vsnap = verts[idx].copy()
-        for v in np.unique(vsnap):
-            labs, dsts = tables[int(v)]
-            g = idx[vsnap == v]
-            if labs.size == 0:
-                alive[g] = False
-                continue
-            vals = pts[g][:, labs]
-            order = vals.argsort(axis=1)
-            lo = order[:, 0]
-            tie = np.take_along_axis(vals, order[:, :2], axis=1)
-            tied = tie[:, 0] == tie[:, 1] if labs.size > 1 else np.zeros(g.size, bool)
-            if tied.any():
-                rec[g[tied], step:] = -2
-                alive[g[tied]] = False
-                g = g[~tied]
-                lo = lo[~tied]
-            loser = labs[lo]
-            lv = pts[g, loser]
-            for k in range(labs.size):
-                m = lo != k
-                pts[g[m], labs[k]] -= lv[m]
-            verts[g] = dsts[lo]
-            rec[g, step] = loser
+        rec[lanes.trial, step] = _step(table, lanes, _exact_min)[1]
+        # a tie at the minimum leaves a zero coordinate behind
+        tied = (lanes.vals == 0).any(axis=1)
+        rec[lanes.trial[tied], step:] = -2
+        lanes.keep(~tied)
     return rec
-

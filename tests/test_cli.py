@@ -87,6 +87,12 @@ def test_measure_single_path(runner):
     assert d["rows"][0]["relative"] == "1/6"
 
 
+def test_measure_unknown_label_is_exit_2(runner):
+    r = runner.invoke(main, ["measure", "--catalog", "gauss", "--path", "1,3"])
+    assert r.exit_code == 2
+    assert "no out-edge labeled '3'" in r.output
+
+
 def test_measure_depth_table_csv(runner):
     r = invoke(runner, "measure", "--catalog", "gauss", "--n", "1",
                "--format", "csv")
@@ -105,6 +111,15 @@ def test_simulate_records_seed_and_is_reproducible(runner):
     d = json.loads(a.output)
     assert d["params"]["seed"] == 7
     assert 0.0 <= d["all_letters_lose_rate"] <= 1.0
+
+
+def test_simulate_tau_reports_every_letter(runner):
+    r = invoke(runner, "simulate", "--catalog", "brun", "--dim", "3",
+               "--seed", "3", "--trials", "200", "--n", "20", "--tau", "2")
+    assert r.exit_code == 0
+    d = json.loads(r.output)
+    assert sorted(d["jump_before_win"]) == ["1", "2", "3"]
+    assert all(v["bound"] == 0.5 for v in d["jump_before_win"].values())
 
 
 def test_simulate_generates_and_records_seed_when_missing(runner):

@@ -15,6 +15,7 @@ from mcf.stochastic import (
     StepCount,
     Win,
     batch_code_points,
+    batch_fire_steps,
     batch_record_paths,
     cylinder_measure,
     edge_law,
@@ -152,16 +153,48 @@ def test_jump_and_win_fire_reasonably():
     assert all(k >= 1 for k in out.fired_at.values())
 
 
-def test_estimate_order_prob_engines_agree_in_distribution():
-    s = gauss()
+@pytest.mark.parametrize(
+    "system, q0, stop_a, stop_b, strict",
+    [
+        pytest.param(gauss, (1, 1), Jump(2), Win("1"), False, id="jump-win"),
+        pytest.param(brun3, (1, 1, 1), JumpCoord("1", 2), Win("1"), True,
+                     id="jumpcoord-win"),
+        pytest.param(brun3, (2, 1, 1), Lose("3"), Win("2"), False,
+                     id="lose-win"),
+        pytest.param(brun3, (1, 1, 1), Win("2"), StepCount(3), True,
+                     id="win-stepcount"),
+        # stops that hold at step 0: both engines decide them before a step
+        pytest.param(gauss, (1, 1), Jump(1), Win("1"), True, id="jump1-win"),
+        pytest.param(brun3, (1, 1, 1), Lose("1"), StepCount(0), False,
+                     id="lose-stepcount0"),
+    ],
+)
+def test_estimate_order_prob_engines_agree_in_distribution(
+    system, q0, stop_a, stop_b, strict
+):
+    s = system()
+    v = s.vertices[0]
     a = estimate_order_prob(
-        s, "v", (1, 1), Jump(2), Win("1"), 4000, 11, engine="batch"
+        s, v, q0, stop_a, stop_b, 4000, 11, strict=strict, engine="batch"
     )
     b = estimate_order_prob(
-        s, "v", (1, 1), Jump(2), Win("1"), 4000, 11, engine="exact"
+        s, v, q0, stop_a, stop_b, 4000, 11, strict=strict, engine="exact"
     )
     tol = 3 * math.sqrt(a["stderr"] ** 2 + b["stderr"] ** 2) + 1e-9
     assert abs(a["frequency"] - b["frequency"]) <= tol
+
+
+def test_jump_coord_alike_at_every_scale_of_q0():
+    # (3, 1, 1) and (9, 3, 3) are one projective point; walks that reach
+    # exactly tau * q0 must fire at both scales
+    s = brun3()
+    r = [
+        estimate_order_prob(s, s.vertices[0], q0, JumpCoord("1", 2), Win("1"),
+                            20000, 1, strict=True)
+        for q0 in ((3, 1, 1), (9, 3, 3))
+    ]
+    tol = 3 * math.sqrt(r[0]["stderr"] ** 2 + r[1]["stderr"] ** 2)
+    assert abs(r[0]["frequency"] - r[1]["frequency"]) <= tol
 
 
 def test_jump_probability_bounded_by_inverse_tau():
@@ -178,6 +211,15 @@ def test_batch_record_paths_shape_and_validity():
     rec = batch_record_paths(s, v, (1, 1, 1), 10, 100, seed=2)
     assert rec.shape == (100, 10)
     assert ((rec >= 0) & (rec < 3)).all()
+
+
+def test_batch_record_paths_long_walks_stay_in_float_range():
+    # q grows geometrically along a walk; unscaled it overflows within a few
+    # thousand steps
+    s = brun3()
+    rec = batch_record_paths(s, s.vertices[0], (1, 1, 1), 4000, 20, seed=1)
+    assert ((rec >= 0) & (rec < 3)).all()
+    assert all((rec[:, -500:] == a).any() for a in range(3))
 
 
 def test_batch_code_points_marks_ties_not_codes():
@@ -212,3 +254,34 @@ def test_batch_code_points_matches_exact_coding():
             continue
         labels = tuple(s.alphabet[int(c)] for c in row)
         assert code_point(s, "v", pt, 6) == labels
+
+
+def _replay_until_hole(s, vertex, row):
+    """Follow a recorded row; a -1 must come at a hole and last to the end."""
+    cur = vertex
+    for k, c in enumerate(row):
+        if c == -2:
+            return False
+        if c == -1:
+            assert s.is_hole(cur)
+            assert (row[k:] == -1).all()
+            return True
+        cur = s.edges[s.edge_by_label(cur, s.alphabet[c])].dst
+    return False
+
+
+def test_batch_engines_retire_lanes_in_holes():
+    s = build("arnoux-rauzy", 3).system
+    v = s.vertices[0]
+    n, trials = 12, 2000
+    rec = batch_record_paths(s, v, (1, 1, 1), n, trials, seed=5)
+    code = batch_code_points(s, v, n, trials, seed=5)
+    for rows in (rec, code):
+        holed = [_replay_until_hole(s, v, row) for row in rows]
+        assert 0 < sum(holed) < trials
+    fired = batch_fire_steps(s, v, (1, 1, 1), [StepCount(n)], trials, seed=5,
+                             max_steps=n)[0]
+    # the same draws as the recorder: a lane misses its stop exactly when
+    # its recorded walk sat in a hole
+    assert ((fired == -1) == (rec == -1).any(axis=1)).all()
+    assert ((fired == -1) | (fired == n)).all()
