@@ -182,10 +182,11 @@ def criterion(graph, catalog_name, dim, out, fmt, strict):
 @main.command()
 @graph_options
 @click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=1000)
-@click.option("--n", "n_steps", type=int, default=200, help="Walk length.")
+@click.option("--trials", type=click.IntRange(min=1), default=1000)
+@click.option("--n", "n_steps", type=click.IntRange(min=0), default=200,
+              help="Walk length.")
 @click.option("--q0", default=None, help="Start distortion, e.g. 1,1,1.")
-@click.option("--tau", type=float, default=None,
+@click.option("--tau", type=click.FloatRange(min=0, min_open=True), default=None,
               help="Also report how often the distortion jump by tau "
                    "precedes a win of each letter.")
 @click.option("--out", type=click.Path(), default=None)

@@ -103,6 +103,8 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
     ``allowed_edges``; that is what restricting a larger ambient graph to a
     subgraph means for the roof.
     """
+    if max_length < 0:
+        raise GraphError(f"truncation length L must be nonnegative, got {max_length}")
     system.check_path(gamma_star)
     base = system.edges[gamma_star[0]].src
     if system.edges[gamma_star[-1]].dst != base:
@@ -125,72 +127,104 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
     return letters
 
 
-def perron_value(matrix, tol=1e-12, max_iter=100000):
+# Representatives per block of the tuple kernel: a block's (d, d, BLOCK)
+# products stay in cache while the power iteration runs over them.
+BLOCK = 8192
+
+
+def _power_log_radius(stack, tol=1e-12, max_iter=500):
+    """log Perron root of every lane of a ``(d, d, lanes)`` stack.
+
+    The stack is entry-major: ``stack[i, j]`` holds entry (i, j) of every
+    lane's matrix as one contiguous vector, so a step is d*d multiply-adds
+    of whole vectors.  Every lane iterates until the ratio spread of the worst
+    lane falls below ``tol`` relative to its largest ratio; a stack that
+    does not get there within ``max_iter`` steps raises.
+    """
+    d, _, lanes = stack.shape
+    v = np.full((d, lanes), 1.0 / d)
+    for _ in range(max_iter):
+        w = np.einsum("ijl,jl->il", stack, v)
+        s = w.sum(axis=0)
+        if (s <= 0).any():
+            raise GraphError("matrix is not primitive on the positive cone")
+        w /= s
+        r = w / np.maximum(v, 1e-300)
+        rmax = r.max(axis=0)
+        spread = (rmax - r.min(axis=0)) / rmax
+        v = w
+        if spread.max() < tol:
+            break
+    else:
+        raise GraphError(
+            f"power iteration did not converge in {max_iter} steps; "
+            f"worst ratio spread {spread.max():.3g}"
+        )
+    lam = np.einsum("ijl,jl->l", stack, v) / v.sum(axis=0)
+    return np.log(lam)
+
+
+def perron_value(matrix, tol=1e-12, max_iter=500):
     """log of the spectral radius of a nonnegative primitive matrix."""
     a = np.array(matrix, dtype=np.float64)
     scale = a.max()
     if scale <= 0:
         raise GraphError("matrix must be nonnegative and nonzero")
-    a = a / scale
-    d = a.shape[0]
-    v = np.ones(d) / d
-    for _ in range(max_iter):
-        w = a @ v
-        s = w.sum()
-        if s <= 0:
-            raise GraphError("matrix is not primitive on the positive cone")
-        w /= s
-        ratios = w / np.maximum(v, 1e-300)
-        if ratios.max() - ratios.min() < tol * ratios.max():
-            break
-        v = w
-    lam = (a @ w) .sum() / w.sum()
-    return math.log(lam) + math.log(scale)
+    lam = _power_log_radius((a / scale)[:, :, None], tol, max_iter)
+    return float(lam[0]) + math.log(scale)
 
 
-def _scaled_stack(letters):
-    mats = np.array([l.matrix for l in letters], dtype=np.float64)
-    scales = mats.max(axis=(1, 2))
-    return mats / scales[:, None, None], np.log(scales)
-
-
-def _batch_perron(stack, tol=1e-12, max_iter=500):
-    n, d, _ = stack.shape
-    v = np.ones((n, d)) / d
-    lam = np.ones(n)
-    for _ in range(max_iter):
-        w = np.einsum("nij,nj->ni", stack, v)
-        s = w.sum(axis=1)
-        w /= s[:, None]
-        r = w / np.maximum(v, 1e-300)
-        if (r.max(axis=1) - r.min(axis=1)).max() < tol:
-            v = w
-            break
-        v = w
-    w = np.einsum("nij,nj->ni", stack, v)
-    return w.sum(axis=1) / v.sum(axis=1)
+def _rotation_classes(k, n):
+    """Smallest code among the rotations of every n-tuple code over k
+    letters (first letter most significant), and the representatives:
+    the codes that are their own smallest rotation."""
+    codes = np.arange(k**n, dtype=np.int64)
+    canon = codes.copy()
+    top = k ** (n - 1)
+    rot = codes
+    for _ in range(n - 1):
+        rot = (rot % top) * k + rot // top
+        np.minimum(canon, rot, out=canon)
+    is_rep = canon == codes
+    return canon, is_rep
 
 
 def tuple_log_radii(letters, n):
-    """log spectral radius of every n-fold product of letter matrices."""
+    """log spectral radius of every n-fold product of letter matrices.
+
+    The radius is invariant under rotating the tuple, so one product is
+    formed per rotation class, over blocks of ``BLOCK`` representatives,
+    and gathered back into tuple order (first letter most significant).
+    """
     if not letters:
         raise GraphError("empty induced alphabet")
+    if n < 1:
+        raise GraphError(f"tuple length n must be at least 1, got {n}")
     k = len(letters)
     d = len(letters[0].matrix)
     if k**n * d * d > MEMORY_GUARD_FLOATS:
         raise GraphError(
             f"{k}^{n} tuple products exceed the memory guard; lower L or n"
         )
-    base, base_log = _scaled_stack(letters)
-    cur, cur_log = base, base_log
-    for _ in range(n - 1):
-        prod = np.einsum("aij,bjk->abik", cur, base).reshape(-1, d, d)
-        log = (cur_log[:, None] + base_log[None, :]).reshape(-1)
-        scale = prod.max(axis=(1, 2))
-        cur = prod / scale[:, None, None]
-        cur_log = log + np.log(scale)
-    lam = _batch_perron(cur)
-    return np.log(lam) + cur_log
+    mats = np.array([l.matrix for l in letters], dtype=np.float64)
+    scales = mats.max(axis=(1, 2))
+    base = np.ascontiguousarray((mats / scales[:, None, None]).transpose(1, 2, 0))
+    base_log = np.log(scales)
+    canon, is_rep = _rotation_classes(k, n)
+    reps = np.flatnonzero(is_rep)
+    out = np.empty(reps.size)
+    for lo in range(0, reps.size, BLOCK):
+        codes = reps[lo:lo + BLOCK]
+        digits = [codes // k ** (n - 1 - t) % k for t in range(n)]
+        prod = base.take(digits[0], axis=2)
+        log = base_log[digits[0]]
+        for a in digits[1:]:
+            prod = np.einsum("ijl,jkl->ikl", prod, base.take(a, axis=2))
+            scale = prod.max(axis=(0, 1))
+            prod /= scale
+            log = log + base_log[a] + np.log(scale)
+        out[lo:lo + BLOCK] = _power_log_radius(prod) + log
+    return out[(np.cumsum(is_rep) - 1)[canon]]
 
 
 def partition_sum(letters, n, kappa, log_radii=None):

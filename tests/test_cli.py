@@ -122,6 +122,14 @@ def test_simulate_tau_reports_every_letter(runner):
     assert all(v["bound"] == 0.5 for v in d["jump_before_win"].values())
 
 
+@pytest.mark.parametrize("args", [["--tau", "0"], ["--trials", "0", "--tau", "2"],
+                                  ["--trials", "0"], ["--tau", "-1"], ["--n", "-1"]])
+def test_simulate_out_of_range_is_exit_2(runner, args):
+    r = runner.invoke(main, ["simulate", "--catalog", "gauss", "--seed", "1",
+                             "--n", "10", *args])
+    assert r.exit_code == 2
+
+
 def test_simulate_generates_and_records_seed_when_missing(runner):
     r = invoke(runner, "simulate", "--catalog", "gauss", "--trials", "50",
                "--n", "10")
@@ -151,3 +159,14 @@ def test_dimension_command_reports_bound(runner):
     assert d["restricted"]
     assert d["bound"] < 2.0
     assert d["proper"]
+
+
+@pytest.mark.parametrize("args", [
+    ["pressure", "--catalog", "gauss", "--L", "4", "--n", "0"],
+    ["pressure", "--catalog", "gauss", "--L", "-1"],
+    ["dimension", "--catalog", "arnoux-rauzy", "--dim", "2", "--L", "4", "--n", "0"],
+    ["dimension", "--catalog", "arnoux-rauzy", "--dim", "2", "--L", "-1"],
+])
+def test_pressure_out_of_range_is_exit_2(runner, args):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from mcf.catalog import build
@@ -49,6 +51,35 @@ def test_perron_permutation_similarity_invariant():
 def test_perron_rejects_zero_matrix():
     with pytest.raises(GraphError):
         perron_value(((0, 0), (0, 0)))
+
+
+def test_perron_raises_when_the_iteration_cap_is_reached():
+    with pytest.raises(GraphError, match="did not converge"):
+        perron_value(((1, 1), (1, 2)), max_iter=1)
+
+
+@pytest.mark.parametrize("name, dim, L", [("gauss", None, 4), ("brun", 3, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tuple_log_radii_match_eigenvalues_in_tuple_order(name, dim, L, n):
+    s = build(name, dim).system
+    letters = build_induced_alphabet(s, find_positive_path(s), L)
+    mats = np.array([l.matrix for l in letters], dtype=np.float64)
+    expected = []
+    for t in itertools.product(range(len(letters)), repeat=n):  # a1 most significant
+        prod = mats[t[0]]
+        for a in t[1:]:
+            prod = prod @ mats[a]
+        expected.append(math.log(np.abs(np.linalg.eigvals(prod)).max()))
+    got = tuple_log_radii(letters, n)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_pressure_inputs_out_of_range_raise():
+    s, g = gauss_star()
+    with pytest.raises(GraphError):
+        build_induced_alphabet(s, g, -1)
+    with pytest.raises(GraphError):
+        tuple_log_radii(build_induced_alphabet(s, g, 4), 0)
 
 
 def test_loop_words_exclude_forbidden_factor():
