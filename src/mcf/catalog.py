@@ -10,12 +10,17 @@ iterating the reference map.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import GraphError, SimplicialSystem
-from .induction import BoundaryTieError
+from .induction import (
+    BoundaryTieError,
+    HoleReachedError,
+    _advance,
+    _integer_point,
+    _out_table,
+)
 
 
 class DomainEscape(RuntimeError):
@@ -591,42 +596,20 @@ def catalog_entries():
 
 def _section_return(named, vertex, y, guard=None):
     """Integer win-lose steps until the next section vertex."""
-    system = named.system
+    table = _out_table(named.system)
     guard = guard or (4 * named.dim * named.dim + 16)
     v = vertex
     cur = list(y)
-    for _ in range(guard):
-        out = system.out_edges(v)
-        if not out:
-            raise DomainEscape(f"walk entered hole {v!r}")
-        best, best_val, tie = None, None, False
-        for i in out:
-            val = cur[system.label_index[system.edges[i].label]]
-            if best_val is None or val < best_val:
-                best, best_val, tie = i, val, False
-            elif val == best_val:
-                tie = True
-        if tie:
-            raise BoundaryTieError("tied comparison during section return")
-        e = system.edges[best]
-        li = system.label_index[e.label]
-        for j in out:
-            w = system.label_index[system.edges[j].label]
-            if w != li:
-                cur[w] -= cur[li]
-        v = e.dst
-        if v in named.section:
-            return v, tuple(cur)
+    try:
+        for _ in range(guard):
+            v = _advance(table, v, cur)[2]
+            if v in named.section:
+                return v, tuple(cur)
+    except HoleReachedError:
+        raise DomainEscape(f"walk entered hole {v!r}") from None
+    except BoundaryTieError:
+        raise BoundaryTieError("tied comparison during section return") from None
     raise GraphError("no section return within the step guard")
-
-
-def _integerize(y):
-    """Clear denominators of an exact vector, projectively."""
-    den = 1
-    for c in y:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-    return tuple(int(c * den) for c in y)
 
 
 def _projectively_equal(a, b):
@@ -670,7 +653,7 @@ def conjugacy_check(named, trials=100, steps=20, seed=0, bits=62):
         x = sample_domain_point(named, rng, bits)
         try:
             v, y = named.embed(x)
-            y = _integerize(y)
+            y, _ = _integer_point(y)
         except BoundaryTieError:
             ties += 1
             continue

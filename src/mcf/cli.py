@@ -21,11 +21,18 @@ import numpy as np
 
 from . import __version__
 from .catalog import DomainEscape, build, catalog_entries, conjugacy_check
-from .graph import GraphError, SimplicialSystem, check_non_degenerating, validate_system
+from .graph import (
+    GraphError,
+    SimplicialSystem,
+    check_non_degenerating,
+    validate_system,
+    vec_mat,
+)
 from .induction import BoundaryTieError, HoleReachedError, orbit
 from .stochastic import (
     Jump,
     Win,
+    _cone_mass,
     batch_record_paths,
     cylinder_measure,
     estimate_order_prob,
@@ -229,7 +236,8 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
 @graph_options
 @click.option("--point", required=True, help="Start point, e.g. 2/5,3/5.")
 @click.option("--vertex", default=None, help="Start vertex (default: first).")
-@click.option("--n", "n_steps", type=int, default=20, help="Steps to iterate.")
+@click.option("--n", "n_steps", type=click.IntRange(min=0), default=20,
+              help="Steps to iterate.")
 @click.option("--out", type=click.Path(), default=None)
 def walk(graph, catalog_name, dim, point, vertex, n_steps, out):
     """Deterministic induction orbit of one point, as a JSONL trace."""
@@ -265,7 +273,7 @@ def walk(graph, catalog_name, dim, point, vertex, n_steps, out):
 @click.option("--path", "path_text", default=None,
               help="Comma-separated edge labels from the start vertex.")
 @click.option("--vertex", default=None, help="Start vertex (default: first).")
-@click.option("--n", "depth", type=int, default=None,
+@click.option("--n", "depth", type=click.IntRange(min=0), default=None,
               help="Instead of one path, tabulate all paths up to this length.")
 @click.option("--q0", default=None, help="Distortion vector, e.g. 1,1,1.")
 @click.option("--out", type=click.Path(), default=None)
@@ -302,15 +310,17 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
             "relative": str(m / base_mass),
         })
     elif depth is not None:
-        frontier = [(v, [])]
+        # each frontier entry carries q M_prefix, so a row costs one vec_mat
+        frontier = [(v, [], q)]
         for _ in range(depth):
             nxt = []
-            for cur, pfx in frontier:
+            for cur, pfx, qm in frontier:
                 for i in system.out_edges(cur):
-                    nxt.append((system.edges[i].dst, pfx + [i]))
+                    nxt.append((system.edges[i].dst, pfx + [i],
+                                vec_mat(qm, system.edge_matrix(i))))
             frontier = nxt
-            for cur, pfx in frontier:
-                m = cylinder_measure(system, pfx, q)
+            for cur, pfx, qm in frontier:
+                m = _cone_mass(qm)
                 rows.append({
                     "path": ",".join(system.path_labels(pfx)),
                     "measure": str(m),
@@ -325,8 +335,9 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
 @main.command()
 @graph_options
 @click.option("--seed", type=int, default=None)
-@click.option("--trials", type=int, default=100)
-@click.option("--n", "n_steps", type=int, default=20, help="Reference steps.")
+@click.option("--trials", type=click.IntRange(min=1), default=100)
+@click.option("--n", "n_steps", type=click.IntRange(min=1), default=20,
+              help="Reference steps.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--strict", is_flag=True)
 def conjugacy(graph, catalog_name, dim, seed, trials, n_steps, out, strict):

@@ -74,6 +74,7 @@ class SimplicialSystem:
             self.out[v].sort(key=lambda i: self.label_index[self.edges[i].label])
         self.holes = tuple(v for v in self.vertices if not self.out[v])
         self._edge_matrices = [None] * len(self.edges)
+        self._out_table = None  # the induction's step table, built on first use
 
     def _validate(self):
         if not self.alphabet:

@@ -1,20 +1,28 @@
 """Exact win-lose induction on projective simplices.
 
-Points live in the open simplex over the alphabet and are represented by
-tuples of nonnegative ``Fraction`` (or int) coordinates.  A step at a vertex
-compares the coordinates of the out-labels, declares the smallest one the
-loser, follows the edge carrying the loser label and subtracts the loser
-coordinate from every other out-label coordinate.  All comparisons are exact;
-floating point never decides a branch.
+Points live in the open simplex over the alphabet and are given as tuples of
+nonnegative ``Fraction`` (or int) coordinates.  A step at a vertex compares
+the coordinates of the out-labels, declares the smallest one the loser,
+follows the edge carrying the loser label and subtracts the loser coordinate
+from every other out-label coordinate.  All comparisons are exact; floating
+point never decides a branch.
+
+The induction is projective, so it runs on integers: a point's denominators
+are cleared once on entry, one kernel (``_advance``) takes the exact minimum
+and subtracts it in place, and the point is normalized once on exit.  A
+step's mass ratio is the quotient of the integer totals after and before it,
+so the ratios of a run telescope to its final total over its first.  The
+per-vertex out-edge table the kernel reads is built once per system.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import GraphError, mat_identity, mat_mul
+from .graph import GraphError
 
 
 class BoundaryTieError(ArithmeticError):
@@ -52,32 +60,66 @@ class StepRecord:
 
 
 def normalize(point):
-    total = sum(point)
-    if total <= 0:
-        raise GraphError("point must have positive total mass")
+    total = _mass(point)
     return tuple(Fraction(x) / total for x in point)
 
 
-def _loser(system, vertex, point):
-    """Index of the losing out-edge, or a tie error."""
-    out = system.out_edges(vertex)
-    if not out:
-        raise HoleReachedError(f"vertex {vertex!r} has no out-edges")
+def _mass(point):
+    total = sum(point)
+    if total <= 0:
+        raise GraphError("point must have positive total mass")
+    return total
+
+
+def _out_table(system):
+    """Out-edges of every vertex as ``(edge, label coordinate, dst, label)``,
+    in label order; built once per system and cached on it."""
+    if system._out_table is None:
+        table = {}
+        for v in system.vertices:
+            edges = [(i, system.edges[i]) for i in system.out_edges(v)]
+            table[v] = tuple(
+                (i, system.label_index[e.label], e.dst, e.label) for i, e in edges
+            )
+        system._out_table = table
+    return system._out_table
+
+
+def _integer_point(point):
+    """The point times the lcm of its denominators: ``(integers, lcm)``."""
+    point = [Fraction(x) for x in point]
+    den = math.lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point], den
+
+
+def _advance(table, vertex, cur, unit=1):
+    """One step on the integer coordinates ``cur``, in place.
+
+    The smallest competing coordinate loses and is subtracted from the other
+    competing coordinates.  Returns the out-edge entry taken.  A tie reports
+    the tied coordinate divided by ``unit``.
+    """
+    out = table[vertex]
     best = None
-    best_val = None
     tie = False
-    for i in out:
-        val = point[system.label_index[system.edges[i].label]]
-        if best_val is None or val < best_val:
-            best, best_val, tie = i, val, False
-        elif val == best_val:
+    for entry in out:
+        val = cur[entry[1]]
+        if best is None or val < low:
+            best, low, tie = entry, val, False
+        elif val == low:
             tie = True
+    if best is None:
+        raise HoleReachedError(f"vertex {vertex!r} has no out-edges")
     if tie:
         raise BoundaryTieError(
-            f"tied minimum {best_val} among out-labels of {vertex!r}"
+            f"tied minimum {Fraction(low, unit)} among out-labels of {vertex!r}"
         )
-    if best_val <= 0:
+    if low <= 0:
         raise GraphError("point has a nonpositive competing coordinate")
+    li = best[1]
+    for entry in out:
+        if entry[1] != li:
+            cur[entry[1]] -= low
     return best
 
 
@@ -87,29 +129,32 @@ def step(system, vertex, point, step_index=0):
     The new point is renormalized to total mass 1; the record keeps the exact
     rational mass ratio whose negative logarithm is the roof increment.
     """
-    point = tuple(Fraction(x) for x in point)
-    i = _loser(system, vertex, point)
-    e = system.edges[i]
-    li = system.label_index[e.label]
-    new = list(point)
-    for j in system.out_edges(vertex):
-        w = system.label_index[system.edges[j].label]
-        if w != li:
-            new[w] = new[w] - new[li]
-    total = sum(point)
-    ratio = Fraction(sum(new)) / total
-    rec = StepRecord(step_index, vertex, i, e.label, ratio)
-    return e.dst, normalize(new), rec
+    cur, den = _integer_point(point)
+    total = sum(cur)
+    entry = _advance(_out_table(system), vertex, cur, den)
+    new_total = _mass(cur)
+    ratio = Fraction(new_total, total)
+    rec = StepRecord(step_index, vertex, entry[0], entry[3], ratio)
+    return entry[2], tuple(Fraction(c, new_total) for c in cur), rec
 
 
 def orbit(system, vertex, point, n):
-    """Iterate ``step`` n times; returns (vertex, point, [records])."""
-    point = normalize(point)
+    """Iterate the induction n times; returns (vertex, point, [records]).
+
+    The orbit runs on one integer vector; only the records' mass ratios and
+    the final point are rationals.
+    """
+    table = _out_table(system)
+    cur, _ = _integer_point(point)
+    total = _mass(cur)
     records = []
     for k in range(n):
-        vertex, point, rec = step(system, vertex, point, k)
-        records.append(rec)
-    return vertex, point, records
+        entry = _advance(table, vertex, cur, total)
+        new_total = _mass(cur)
+        ratio = Fraction(new_total, total)
+        records.append(StepRecord(k, vertex, entry[0], entry[3], ratio))
+        vertex, total = entry[2], new_total
+    return vertex, tuple(Fraction(c, total) for c in cur), records
 
 
 def code_point(system, vertex, point, n):
@@ -123,10 +168,9 @@ def apply_edge_inverse(system, edge_index, point):
     e = system.edges[edge_index]
     li = system.label_index[e.label]
     new = list(point)
-    for j in system.out_edges(e.src):
-        w = system.label_index[system.edges[j].label]
-        if w != li:
-            new[w] = new[w] - new[li]
+    for entry in _out_table(system)[e.src]:
+        if entry[1] != li:
+            new[entry[1]] -= new[li]
     return tuple(new)
 
 
@@ -137,7 +181,7 @@ def in_cylinder(system, path, point):
     inverses are applied in path order.
     """
     system.check_path(path)
-    cur = tuple(Fraction(x) for x in point)
+    cur, _ = _integer_point(point)
     for i in path:
         cur = apply_edge_inverse(system, i, cur)
         if any(x <= 0 for x in cur):
@@ -147,14 +191,14 @@ def in_cylinder(system, path, point):
 
 def path_norm_ratio(system, path, point):
     """Exact mass ratio left after pulling ``point`` back through a path."""
-    cur = tuple(Fraction(x) for x in point)
+    cur, _ = _integer_point(point)
     total = sum(cur)
     for i in path:
         cur = apply_edge_inverse(system, i, cur)
     left = sum(cur)
     if left <= 0:
         raise GraphError("point is not in the cylinder of the path")
-    return Fraction(left) / total
+    return Fraction(left, total)
 
 
 def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
@@ -166,29 +210,31 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     at an index at least its length), and returns
     ``(new_point, return_word_labels, norm_ratio)`` where ``norm_ratio`` is
     the exact accelerated-roof rational of the consumed path.
+
+    The walk is one pass on an integer vector.  The return point is the state
+    before the trailing ``gamma_star`` block, so the last m+1 states are kept;
+    the ratios of the steps telescope to the ratio of its mass to the start's.
     """
     m = len(gamma_star)
-    star = tuple(system.edges[i].label for i in gamma_star)
+    star = [system.edges[i].label for i in gamma_star]
     if not in_cylinder(system, gamma_star, point):
         raise GraphError("point is not in the inducing cylinder")
+    table = _out_table(system)
+    cur, _ = _integer_point(point)
+    start = total = _mass(cur)
     coding = []
-    v, p = vertex, normalize(point)
-    consumed = []
-    for k in range(max_steps):
-        v, p, rec = step(system, v, p)
-        coding.append(rec.edge_label)
-        consumed.append(rec)
-        if len(coding) >= 2 * m and tuple(coding[-m:]) == star:
+    states = deque([(tuple(cur), total)], maxlen=m + 1)
+    v = vertex
+    for _ in range(max_steps):
+        entry = _advance(table, v, cur, total)
+        v = entry[2]
+        coding.append(entry[3])
+        total = _mass(cur)
+        states.append((tuple(cur), total))
+        if len(coding) >= 2 * m and coding[-m:] == star:
+            back, left = states[0]
             word = tuple(coding[m:-m])
-            # The return point is the preimage of the last gamma_star block:
-            # rewind by replaying all but the trailing m steps.
-            n_keep = len(coding) - m
-            v2, p2 = vertex, normalize(point)
-            ratio = Fraction(1)
-            for _ in range(n_keep):
-                v2, p2, r2 = step(system, v2, p2)
-                ratio *= r2.norm_ratio
-            return p2, word, ratio
+            return tuple(Fraction(c, left) for c in back), word, Fraction(left, start)
     raise MaxStepsExceeded(f"no return within {max_steps} steps")
 
 

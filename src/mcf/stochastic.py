@@ -69,12 +69,16 @@ def edge_law(system, vertex, q):
 
 def cylinder_measure(system, path, q):
     """Projective mass of a path cylinder: (1/n!) prod_i 1/(q M_gamma)_i."""
-    n = system.dim
     qm = tuple(Fraction(c) for c in q)
     system.check_path(path)
     for i in path:
         qm = vec_mat(qm, system.edge_matrix(i))
-    out = Fraction(1, math.factorial(n))
+    return _cone_mass(qm)
+
+
+def _cone_mass(qm):
+    """(1/n!) prod_i 1/qm_i: the mass of a cylinder whose q M_gamma is qm."""
+    out = Fraction(1, math.factorial(len(qm)))
     for c in qm:
         if c <= 0:
             raise GraphError("q must be positive")

@@ -5,6 +5,7 @@ import pytest
 from mcf.catalog import (
     NAMES,
     DomainEscape,
+    _section_return,
     build,
     catalog_entries,
     conjugacy_check,
@@ -119,6 +120,13 @@ def test_arnoux_rauzy_escape():
     assert ar.reference_step((7, 2, 1)) == (4, 2, 1)
     with pytest.raises(DomainEscape):
         ar.reference_step((3, 2, 2.5))
+
+
+def test_section_return_into_a_hole_is_a_domain_escape():
+    ar = build("arnoux-rauzy", 3)
+    v, y = ar.embed((5, 4, 3))
+    with pytest.raises(DomainEscape, match="walk entered hole 'X:1,2,3:0'"):
+        _section_return(ar, v, y)
 
 
 def test_arp_falls_back_instead_of_escaping():

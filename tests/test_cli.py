@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from mcf.catalog import build
 from mcf.cli import main
+from mcf.stochastic import cylinder_measure
 
 
 @pytest.fixture
@@ -101,6 +104,35 @@ def test_measure_depth_table_csv(runner):
     assert len(r.output.splitlines()) == 3
 
 
+@pytest.mark.parametrize("q0", [None, "1/2,3,5/7"])
+def test_measure_depth_rows_equal_cylinder_measure(runner, q0):
+    args = ["measure", "--catalog", "brun", "--dim", "3", "--n", "6"]
+    r = invoke(runner, *args, *(["--q0", q0] if q0 else []))
+    assert r.exit_code == 0
+    system = build("brun", 3).system
+    start = system.vertices[0]
+    q = tuple(Fraction(c) for c in q0.split(",")) if q0 else (1, 1, 1)
+    whole = cylinder_measure(system, [], q)
+    rows = json.loads(r.output)["rows"]
+    assert max(row["path"].count(",") + 1 for row in rows) == 6
+    for row in rows:
+        path, v = [], start
+        for label in row["path"].split(","):
+            path.append(system.edge_by_label(v, label))
+            v = system.edges[path[-1]].dst
+        m = cylinder_measure(system, path, q)
+        assert (Fraction(row["measure"]), Fraction(row["relative"])) == (m, m / whole)
+
+
+@pytest.mark.parametrize("args", [
+    ["walk", "--catalog", "gauss", "--point", "2,7", "--n", "-1"],
+    ["measure", "--catalog", "gauss", "--n", "-1"],
+])
+def test_walk_and_measure_negative_n_is_exit_2(runner, args):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+
+
 def test_simulate_records_seed_and_is_reproducible(runner):
     a = invoke(runner, "simulate", "--catalog", "brun", "--dim", "3",
                "--seed", "7", "--trials", "200", "--n", "50")
@@ -143,6 +175,16 @@ def test_conjugacy_command(runner):
     assert r.exit_code == 0
     d = json.loads(r.output)
     assert d["passes"] and d["agreements"] == 10
+
+
+@pytest.mark.parametrize("args", [["--trials", "0"], ["--n", "0"],
+                                  ["--trials", "-3"]])
+def test_conjugacy_out_of_range_is_exit_2(runner, args):
+    # a strict check that ran no trial or no step must not pass
+    r = runner.invoke(main, ["conjugacy", "--catalog", "gauss", "--seed", "1",
+                             "--strict", *args])
+    assert r.exit_code == 2
+    assert "passes" not in r.output
 
 
 def test_pressure_command(runner):

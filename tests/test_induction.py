@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcf.catalog import build
-from mcf.graph import SimplicialSystem, find_positive_path
+from mcf.graph import SimplicialSystem, find_positive_path, mat_vec
 from mcf.induction import (
     BoundaryTieError,
     birkhoff_contraction,
@@ -108,6 +109,57 @@ def test_induced_step_greedy_parse_round_trip():
     full = code_point(s, "v", x, len(star) + len(word) + len(star))
     assert full == star + word + star
     assert 0 < ratio < 1
+
+
+def _orbit_or_tie(system, vertex, point, n):
+    try:
+        return orbit(system, vertex, point, n)
+    except BoundaryTieError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.integers(1, 10**6), min_size=4, max_size=4),
+       st.integers(1, 10**4), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_orbit_is_projective(x, k, n):
+    # the same projective point, as integers or as rationals, has one orbit
+    s = build("brun", 4).system
+    v = s.vertices[0]
+    whole = _orbit_or_tie(s, v, tuple(x), n)
+    assert _orbit_or_tie(s, v, tuple(Fraction(c, k) for c in x), n) == whole
+
+
+@pytest.mark.parametrize("name,dim", [("gauss", None), ("brun", 3)])
+def test_induced_step_equals_a_replay(name, dim):
+    s = build(name, dim).system
+    gamma = find_positive_path(s)
+    base = s.edges[gamma[0]].src
+    m_gamma = s.path_matrix(gamma)
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(12):
+        x = tuple(rng.randint(1, 2**1000) for _ in range(s.dim))
+        y = mat_vec(m_gamma, x)
+        try:
+            point, word, ratio = induced_step(s, base, y, gamma)
+        except BoundaryTieError:
+            continue
+        # returns are detected on labels, so the walk need not be back at base
+        _, p, records = orbit(s, base, y, len(gamma) + len(word))
+        assert p == point
+        assert ratio == path_norm_ratio(s, [r.edge for r in records], y)
+        assert ratio == math.prod(r.norm_ratio for r in records)
+        checked += 1
+    assert checked >= 10
+
+
+def test_tie_message_names_the_normalised_value():
+    s = build("brun", 3).system
+    with pytest.raises(BoundaryTieError, match="tied minimum 1/3 among out-labels"):
+        orbit(s, s.vertices[0], (1, 1, 2), 3)
+    # a single step reports the coordinate of the point it was given
+    with pytest.raises(BoundaryTieError, match="tied minimum 3 among out-labels of 'v'"):
+        step(gauss(), "v", (3, 3))
 
 
 def test_hilbert_distance_projective_and_positive():
