@@ -10,22 +10,22 @@ iterating the reference map.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import GraphError, SimplicialSystem
-from .induction import (
-    BoundaryTieError,
-    HoleReachedError,
-    _advance,
-    _integer_point,
-    _out_table,
-)
+from .induction import BoundaryTieError, HoleReachedError, _advance, _integer_point
 
 
 class DomainEscape(RuntimeError):
     """The reference map is undefined at the point (it left the surviving set)."""
 
+
+# Largest letter count of the families whose graph has a vertex per ranking:
+# brun(7) has 27 720 vertices and arnoux-rauzy(7) 181 440, and each further
+# letter multiplies the size and the build time by about ten.
+MAX_RANKING_DIM = 7
 
 NAMES = (
     "gauss",
@@ -130,14 +130,18 @@ class FullySubtractive(_IdentitySystem):
         return tuple(c if str(i + 1) == sigma[-1] else c - lo for i, c in enumerate(x))
 
 
+def _poincare_step(x, sigma):
+    """Every coordinate but the smallest minus the next one in the ranking
+    ``sigma``."""
+    out = list(x)
+    for k, l in enumerate(sigma[:-1]):
+        out[int(l) - 1] = _coord(x, l) - _coord(x, sigma[k + 1])
+    return tuple(out)
+
+
 class Poincare(_IdentitySystem):
     def reference_step(self, x):
-        sigma = _ordering(x)
-        ranked = [_coord(x, l) for l in sigma]
-        out = list(x)
-        for k, l in enumerate(sigma[:-1]):
-            out[int(l) - 1] = ranked[k] - ranked[k + 1]
-        return tuple(out)
+        return _poincare_step(x, _ordering(x))
 
 
 # -- ranking-state systems: points carried in per-vertex cone bases --------
@@ -201,11 +205,7 @@ class ArnouxRauzy(_RankedBasisSystem):
             return tuple(out)
         if not self.poincare_fallback:
             raise DomainEscape("point left the surviving set")
-        ranked = [_coord(x, l) for l in sigma]
-        out = list(x)
-        for k, l in enumerate(sigma[:-1]):
-            out[int(l) - 1] = ranked[k] - ranked[k + 1]
-        return tuple(out)
+        return _poincare_step(x, sigma)
 
 
 class ArnouxRauzyPoincare(ArnouxRauzy):
@@ -215,8 +215,10 @@ class ArnouxRauzyPoincare(ArnouxRauzy):
 # -- hull-basis systems: Selmer and its folded three-letter form -----------
 
 
-def _mat_inv_fraction(cols):
-    """Inverse of a small matrix given by columns, by Gauss elimination."""
+def _integer_inverse(cols):
+    """Positive integer multiple of the inverse of a small matrix given by
+    columns: the exact inverse, by Gauss elimination, times the lcm of its
+    denominators.  Projectively it is the inverse, with the same signs."""
     n = len(cols)
     a = [
         [Fraction(cols[j][i]) for j in range(n)]
@@ -232,12 +234,15 @@ def _mat_inv_fraction(cols):
             if r != col and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    inv = [row[n:] for row in a]
+    den = math.lcm(*(v.denominator for row in inv for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row] for row in inv]
 
 
 class _HullBasisSystem(NamedSystem):
     """Systems whose vertex cones are simplices spanned by explicit hull
-    points; embedding solves for exact barycentric-like coordinates."""
+    points; embedding solves for exact barycentric-like coordinates, up to a
+    positive factor per vertex, in integers."""
 
     def _hull_columns(self, vertex):
         raise NotImplementedError
@@ -245,7 +250,7 @@ class _HullBasisSystem(NamedSystem):
     def _basis_inverse(self, vertex):
         cache = self.meta.setdefault("_binv", {})
         if vertex not in cache:
-            cache[vertex] = _mat_inv_fraction(self._hull_columns(vertex))
+            cache[vertex] = _integer_inverse(self._hull_columns(vertex))
         return cache[vertex]
 
     def _solve(self, vertex, x):
@@ -342,7 +347,7 @@ class Cassaigne(_HullBasisSystem):
     def _h_inverse(self):
         inv = self.meta.get("_hinv")
         if inv is None:
-            inv = self.meta["_hinv"] = _mat_inv_fraction(list(self._H))
+            inv = self.meta["_hinv"] = _integer_inverse(self._H)
         return inv
 
     def embed(self, x):
@@ -536,10 +541,17 @@ def _resolve_dim(name, dim):
         return 3
     if dim < 3:
         raise GraphError(f"{name} needs at least three letters")
+    if dim > MAX_RANKING_DIM and name in (
+        "brun", "selmer-restricted", "arnoux-rauzy", "arp"
+    ):
+        raise GraphError(
+            f"{name} is limited to {MAX_RANKING_DIM} letters, got {dim}: its "
+            f"graph has a vertex per ranking of the letters"
+        )
     return dim
 
 
-def build(name, dim=None, fold_brun=True):
+def build(name, dim=None):
     """Construct a named system.  ``dim`` counts letters (the gasket family
     also accepts the simplex dimension 2 for the three-letter system)."""
     name = str(name)
@@ -556,9 +568,7 @@ def build(name, dim=None, fold_brun=True):
         sys_ = _poincare_graph(n)
         return Poincare(name, n, sys_, frozenset(["R"]), {"base": "R"})
     if name == "brun":
-        sys_ = _brun_graph(n)
-        if fold_brun:
-            sys_ = fold(sys_)
+        sys_ = fold(_brun_graph(n))
         section = frozenset(v for v in sys_.vertices if v.count(":") == 1)
         return Brun(name, n, sys_, section)
     if name == "selmer-restricted":
@@ -583,25 +593,24 @@ def catalog_entries():
         {"name": "gauss", "dims": "2", "holes": False},
         {"name": "fully-subtractive", "dims": ">=3", "holes": False},
         {"name": "poincare", "dims": ">=3", "holes": False},
-        {"name": "brun", "dims": ">=3", "holes": False},
-        {"name": "selmer-restricted", "dims": ">=3", "holes": False},
+        {"name": "brun", "dims": "3-7", "holes": False},
+        {"name": "selmer-restricted", "dims": "3-7", "holes": False},
         {"name": "cassaigne", "dims": "3", "holes": False},
-        {"name": "arnoux-rauzy", "dims": ">=3 (or 2)", "holes": True},
-        {"name": "arp", "dims": "3 (>=4 experimental)", "holes": False},
+        {"name": "arnoux-rauzy", "dims": "3-7 (or 2)", "holes": True},
+        {"name": "arp", "dims": "3 (4-7 experimental)", "holes": False},
     ]
 
 
 # -- conjugacy -------------------------------------------------------------
 
 
-def _section_return(named, vertex, y, guard=None):
+def _section_return(named, vertex, y):
     """Integer win-lose steps until the next section vertex."""
-    table = _out_table(named.system)
-    guard = guard or (4 * named.dim * named.dim + 16)
+    table = named.system.table
     v = vertex
     cur = list(y)
     try:
-        for _ in range(guard):
+        for _ in range(4 * named.dim * named.dim + 16):
             v = _advance(table, v, cur)[2]
             if v in named.section:
                 return v, tuple(cur)

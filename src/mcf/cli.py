@@ -21,13 +21,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import DomainEscape, build, catalog_entries, conjugacy_check
-from .graph import (
-    GraphError,
-    SimplicialSystem,
-    check_non_degenerating,
-    validate_system,
-    vec_mat,
-)
+from .graph import GraphError, SimplicialSystem, check_non_degenerating
 from .induction import BoundaryTieError, HoleReachedError, orbit
 from .stochastic import (
     Jump,
@@ -105,6 +99,11 @@ def _emit(payload, out, fmt):
         text = buf.getvalue()
     else:
         raise DomainFailure(f"format {fmt!r} not supported for this command")
+    _write(text, out)
+
+
+def _write(text, out):
+    """Write ``text`` to the file ``out``, or to stdout when none is given."""
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -150,17 +149,8 @@ def main():
 def validate(graph, catalog_name, dim, out, fmt):
     """Check the graph axioms and summarize the system."""
     system, named, source = _load_system(graph, catalog_name, dim)
-    try:
-        validate_system(system)
-    except GraphError as exc:
-        raise DomainFailure(str(exc))
     if fmt == "dot":
-        text = system.to_dot()
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
+        _write(system.to_dot(), out)
         return
     payload = _base("validate", source=source)
     payload["valid"] = True
@@ -260,12 +250,7 @@ def walk(graph, catalog_name, dim, point, vertex, n_steps, out):
         {"final_vertex": cur_v, "final_point": [str(c) for c in cur_x]},
         sort_keys=True,
     ))
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write("\n".join(lines) + "\n", out)
 
 
 @main.command()
@@ -310,14 +295,14 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
             "relative": str(m / base_mass),
         })
     elif depth is not None:
-        # each frontier entry carries q M_prefix, so a row costs one vec_mat
+        # each frontier entry carries q M_prefix, so a row costs one edge action
         frontier = [(v, [], q)]
         for _ in range(depth):
             nxt = []
             for cur, pfx, qm in frontier:
                 for i in system.out_edges(cur):
                     nxt.append((system.edges[i].dst, pfx + [i],
-                                vec_mat(qm, system.edge_matrix(i))))
+                                system.act(i, [list(qm)])[0]))
             frontier = nxt
             for cur, pfx, qm in frontier:
                 m = _cone_mass(qm)
@@ -401,9 +386,9 @@ def dimension(graph, catalog_name, dim, max_length, n_orbits, out, strict):
     else:
         _, named, source = _load_system(None, catalog_name, dim)
         system = named.system
-        exits = named.meta.get("exit_edges")
+        exits = set(named.meta.get("exit_edges", ()))
         allowed = (
-            [i for i in range(len(system.edges)) if i not in set(exits)]
+            [i for i in range(len(system.edges)) if i not in exits]
             if exits else None
         )
     payload = _pressure_payload("dimension", system, source, max_length,

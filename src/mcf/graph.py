@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 MAX_CRITERION_ALPHABET = 16
@@ -28,18 +29,6 @@ class Edge:
 
     def to_dict(self):
         return {"from": self.src, "to": self.dst, "label": self.label}
-
-
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def mat_mul(a, b):
-    n = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a
-    )
 
 
 def vec_mat(q, m):
@@ -73,8 +62,6 @@ class SimplicialSystem:
         for v in self.vertices:
             self.out[v].sort(key=lambda i: self.label_index[self.edges[i].label])
         self.holes = tuple(v for v in self.vertices if not self.out[v])
-        self._edge_matrices = [None] * len(self.edges)
-        self._out_table = None  # the induction's step table, built on first use
 
     def _validate(self):
         if not self.alphabet:
@@ -119,38 +106,52 @@ class SimplicialSystem:
     def is_hole(self, v):
         return not self.out[v]
 
-    # -- matrices ---------------------------------------------------------
+    @cached_property
+    def table(self):
+        """Out-edges of every vertex as ``(edge, label index, dst, label)``,
+        in label order: the labels that compete at the vertex."""
+
+        def entry(i):
+            e = self.edges[i]
+            return i, self.label_index[e.label], e.dst, e.label
+
+        return {v: tuple(map(entry, self.out[v])) for v in self.vertices}
+
+    # -- the edge action ----------------------------------------------------
+
+    def act(self, edge_index, rows):
+        """Right-multiply row vectors by the edge's matrix, in place.
+
+        In each row the loser coordinate becomes the sum of the coordinates
+        that compete at the source vertex, the loser's own included; the
+        other coordinates are unchanged.  Returns ``rows``.
+        """
+        e = self.edges[edge_index]
+        loser = self.label_index[e.label]
+        competing = [entry[1] for entry in self.table[e.src]]
+        for row in rows:
+            row[loser] = sum([row[c] for c in competing])
+        return rows
 
     def edge_matrix(self, edge_index):
         """Unipotent matrix of an edge: identity plus one unit entry per winner.
 
         Column ``loser`` picks up a 1 in every row indexed by another
         out-label of the source vertex, so that right multiplication adds the
-        loser mass of a row vector to each winner and inverse application
+        winner mass of a row vector to the loser and inverse application
         subtracts the loser coordinate from each winner.
         """
-        m = self._edge_matrices[edge_index]
-        if m is not None:
-            return m
-        e = self.edges[edge_index]
-        n = self.dim
-        li = self.label_index[e.label]
-        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        for j in self.out[e.src]:
-            w = self.label_index[self.edges[j].label]
-            if w != li:
-                rows[w][li] = 1
-        m = tuple(tuple(r) for r in rows)
-        self._edge_matrices[edge_index] = m
-        return m
+        return self.path_matrix([edge_index])
 
     def path_matrix(self, path):
-        """Ordered product of edge matrices along a path of edge indices."""
+        """Ordered product of edge matrices along a path of edge indices: the
+        edge actions, in path order, on the rows of the identity."""
         self.check_path(path)
-        m = mat_identity(self.dim)
+        n = self.dim
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for i in path:
-            m = mat_mul(m, self.edge_matrix(i))
-        return m
+            self.act(i, rows)
+        return tuple(tuple(r) for r in rows)
 
     def check_path(self, path):
         prev = None
@@ -423,69 +424,42 @@ def check_non_degenerating(system):
     return report
 
 
-def _bool_rows(m):
-    """Rows of a 0/1 matrix packed as bitmasks."""
-    masks = []
-    for row in m:
-        b = 0
-        for j, x in enumerate(row):
-            if x:
-                b |= 1 << j
-        masks.append(b)
-    return tuple(masks)
-
-
-def _bool_mul(rows_a, rows_b):
-    out = []
-    for ra in rows_a:
-        acc = 0
-        j = 0
-        r = ra
-        while r:
-            if r & 1:
-                acc |= rows_b[j]
-            r >>= 1
-            j += 1
-        out.append(acc)
-    return tuple(out)
-
-
 def find_positive_path(system, start=None, max_length=64, allowed_edges=None):
     """Shortest loop whose matrix product is entrywise positive.
 
-    Breadth-first search over (vertex, positivity pattern) states.  With
-    ``allowed_edges`` the path is confined to those edges while matrices are
-    still taken from ``system``, which matters when searching a subgraph whose
-    dynamics is restricted from a larger ambient graph.  Returns a list of
-    edge indices or None.
+    Breadth-first search over (vertex, positivity pattern) states.  A pattern
+    holds the rows of the product as bitmasks, and an edge acts on it as on
+    numbers: a row gains the loser column when it meets any competing
+    column.  With ``allowed_edges`` the path is confined to those edges
+    while matrices are still taken from ``system``, which matters when
+    searching a subgraph whose dynamics is restricted from a larger ambient
+    graph.  Returns a list of edge indices or None.
     """
     n = system.dim
     full = tuple((1 << n) - 1 for _ in range(n))
     starts = [start] if start is not None else list(system.vertices)
-    edge_rows = {}
-
     for s in starts:
         if s not in system._vertex_set:
             raise GraphError(f"unknown vertex {s!r}")
-        init = _bool_rows(mat_identity(n))
+        init = tuple(1 << j for j in range(n))
         seen = {(s, init)}
         frontier = [(s, init, [])]
         for _ in range(max_length):
             nxt = []
             for v, pat, path in frontier:
-                for i in system.out[v]:
+                out = system.table[v]
+                competing = sum(1 << entry[1] for entry in out)
+                for i, loser, dst, _ in out:
                     if allowed_edges is not None and i not in allowed_edges:
                         continue
-                    if i not in edge_rows:
-                        edge_rows[i] = _bool_rows(system.edge_matrix(i))
-                    e = system.edges[i]
-                    p2 = _bool_mul(pat, edge_rows[i])
-                    if e.dst == s and p2 == full:
+                    bit = 1 << loser
+                    p2 = tuple(r | bit if r & competing else r for r in pat)
+                    if dst == s and p2 == full:
                         return path + [i]
-                    st = (e.dst, p2)
+                    st = (dst, p2)
                     if st not in seen:
                         seen.add(st)
-                        nxt.append((e.dst, p2, path + [i]))
+                        nxt.append((dst, p2, path + [i]))
             if not nxt:
                 break
             frontier = nxt

@@ -12,7 +12,8 @@ are cleared once on entry, one kernel (``_advance``) takes the exact minimum
 and subtracts it in place, and the point is normalized once on exit.  A
 step's mass ratio is the quotient of the integer totals after and before it,
 so the ratios of a run telescope to its final total over its first.  The
-per-vertex out-edge table the kernel reads is built once per system.
+kernel reads the labels that compete at a vertex from the system's own
+out-edge ``table``.
 """
 
 from __future__ import annotations
@@ -71,20 +72,6 @@ def _mass(point):
     return total
 
 
-def _out_table(system):
-    """Out-edges of every vertex as ``(edge, label coordinate, dst, label)``,
-    in label order; built once per system and cached on it."""
-    if system._out_table is None:
-        table = {}
-        for v in system.vertices:
-            edges = [(i, system.edges[i]) for i in system.out_edges(v)]
-            table[v] = tuple(
-                (i, system.label_index[e.label], e.dst, e.label) for i, e in edges
-            )
-        system._out_table = table
-    return system._out_table
-
-
 def _integer_point(point):
     """The point times the lcm of its denominators: ``(integers, lcm)``."""
     point = [Fraction(x) for x in point]
@@ -131,7 +118,7 @@ def step(system, vertex, point, step_index=0):
     """
     cur, den = _integer_point(point)
     total = sum(cur)
-    entry = _advance(_out_table(system), vertex, cur, den)
+    entry = _advance(system.table, vertex, cur, den)
     new_total = _mass(cur)
     ratio = Fraction(new_total, total)
     rec = StepRecord(step_index, vertex, entry[0], entry[3], ratio)
@@ -144,7 +131,7 @@ def orbit(system, vertex, point, n):
     The orbit runs on one integer vector; only the records' mass ratios and
     the final point are rationals.
     """
-    table = _out_table(system)
+    table = system.table
     cur, _ = _integer_point(point)
     total = _mass(cur)
     records = []
@@ -168,7 +155,7 @@ def apply_edge_inverse(system, edge_index, point):
     e = system.edges[edge_index]
     li = system.label_index[e.label]
     new = list(point)
-    for entry in _out_table(system)[e.src]:
+    for entry in system.table[e.src]:
         if entry[1] != li:
             new[entry[1]] -= new[li]
     return tuple(new)
@@ -219,7 +206,7 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     star = [system.edges[i].label for i in gamma_star]
     if not in_cylinder(system, gamma_star, point):
         raise GraphError("point is not in the inducing cylinder")
-    table = _out_table(system)
+    table = system.table
     cur, _ = _integer_point(point)
     start = total = _mass(cur)
     coding = []

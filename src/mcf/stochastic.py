@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import GraphError, vec_mat
+from .graph import GraphError
 
 
 def make_rng(seed, stream=None):
@@ -69,10 +69,10 @@ def edge_law(system, vertex, q):
 
 def cylinder_measure(system, path, q):
     """Projective mass of a path cylinder: (1/n!) prod_i 1/(q M_gamma)_i."""
-    qm = tuple(Fraction(c) for c in q)
+    qm = [Fraction(c) for c in q]
     system.check_path(path)
     for i in path:
-        qm = vec_mat(qm, system.edge_matrix(i))
+        system.act(i, [qm])
     return _cone_mass(qm)
 
 
@@ -88,17 +88,7 @@ def _cone_mass(qm):
 
 def path_probability(system, path, q):
     """Chance that a q-walk follows the given path: N(q)/N(q M_gamma)."""
-    num = Fraction(1)
-    den = Fraction(1)
-    qm = tuple(Fraction(c) for c in q)
-    system.check_path(path)
-    for c in qm:
-        num *= c
-    for i in path:
-        qm = vec_mat(qm, system.edge_matrix(i))
-    for c in qm:
-        den *= c
-    return num / den
+    return cylinder_measure(system, path, q) / cylinder_measure(system, (), q)
 
 
 def is_balanced(q, labels_idx, k):
@@ -225,13 +215,9 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
             if u < acc:
                 chosen = i
                 break
-        present = tuple(index[system.edges[i].label] for i in out)
+        present = tuple(entry[1] for entry in system.table[cur])
         loser = index[system.edges[chosen].label]
-        # row-vector update q <- q M_e: the losing coordinate absorbs the
-        # winners, everything else is unchanged
-        q = list(q)
-        q[loser] = sum(q[a] for a in present)
-        q = tuple(q)
+        q = tuple(system.act(chosen, [list(q)])[0])
         cur = system.edges[chosen].dst
         path.append(chosen)
     truncated = len(fired_at) < len(stops)
@@ -298,8 +284,8 @@ _RESCALE_EVERY = 64
 _NEVER_MIN = np.iinfo(np.int64).max
 
 
-class _OutTable(NamedTuple):
-    """Out-edges of every vertex in ``out_edges`` order, right-aligned.
+class _PaddedTable(NamedTuple):
+    """The system's out-edge table as arrays, each row right-aligned.
 
     Row v of ``label`` and ``target`` gives the label index and the target
     vertex index of each slot.  Slots before the out-edges are padding: they
@@ -312,20 +298,20 @@ class _OutTable(NamedTuple):
     hole: np.ndarray | None
 
 
-def _out_table(system):
+def _padded_table(system):
     index = {v: i for i, v in enumerate(system.vertices)}
-    width = max(len(system.out_edges(v)) for v in system.vertices)
+    width = max(len(out) for out in system.table.values())
     label = np.full((len(index), width), system.dim, dtype=np.int64)
     target = np.repeat(np.arange(len(index))[:, None], width, axis=1)
     for v, name in enumerate(system.vertices):
-        out = system.out_edges(name)
-        for slot, i in enumerate(out, start=width - len(out)):
-            label[v, slot] = system.label_index[system.edges[i].label]
-            target[v, slot] = index[system.edges[i].dst]
+        out = system.table[name]
+        for slot, (_, li, dst, _) in enumerate(out, start=width - len(out)):
+            label[v, slot] = li
+            target[v, slot] = index[dst]
     hole = None
     if system.holes:
         hole = np.array([system.is_hole(v) for v in system.vertices])
-    return _OutTable(label, target, hole)
+    return _PaddedTable(label, target, hole)
 
 
 class _Lanes:
@@ -410,7 +396,7 @@ def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
     same factors, so comparisons of q with multiples of q0 are exact as long
     as q0 and the sums that make q are exact in floating point.
     """
-    table = _out_table(system)
+    table = _padded_table(system)
     draw = _q_draw(make_rng(seed))
     lanes = _q_lanes(system, vertex, q0, trials)
     lanes.q0 = lanes.vals[:, :-1].copy()
@@ -439,7 +425,7 @@ def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
 def batch_record_paths(system, vertex, q0, n_steps, trials, seed):
     """Loser label indices of the first n_steps steps of q-walks, vectorized;
     -1 from the step at which a walk sits in a hole."""
-    table = _out_table(system)
+    table = _padded_table(system)
     draw = _q_draw(make_rng(seed))
     lanes = _q_lanes(system, vertex, q0, trials)
     rec = np.full((trials, n_steps), -1, dtype=np.int64)
@@ -473,7 +459,7 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
         pts[bad] = compositions(int(bad.sum()))
         bad = (pts <= 0).any(axis=1)
 
-    table = _out_table(system)
+    table = _padded_table(system)
     lanes = _Lanes(system, vertex, np.append(
         pts, np.full((trials, 1), _NEVER_MIN), axis=1))
     del pts

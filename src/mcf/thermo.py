@@ -10,12 +10,13 @@ for the surviving sets of subgraphs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, find_positive_path, mat_identity, mat_mul
+from .graph import GraphError, find_positive_path
 
 MEMORY_GUARD_FLOATS = 2 * 10**8
 
@@ -67,11 +68,11 @@ def _kmp_table(pattern):
 
 def loop_words(system, base, max_length, avoid, allowed_edges=None):
     """Loops at ``base`` (as edge index tuples) of length <= max_length that
-    do not contain the edge sequence ``avoid`` as a factor.  Includes the
-    empty loop.  Enumeration is depth-first in edge order."""
+    do not contain the edge sequence ``avoid`` as a factor.  Yields the
+    empty loop first, then the others depth-first in edge order."""
     avoid = tuple(avoid)
     table = _kmp_table(avoid) if avoid else []
-    out = [()]
+    yield ()
     stack = [(base, (), 0)]
     while stack:
         v, path, k = stack.pop()
@@ -90,9 +91,8 @@ def loop_words(system, base, max_length, avoid, allowed_edges=None):
             e = system.edges[i]
             p2 = path + (i,)
             if e.dst == base:
-                out.append(p2)
+                yield p2
             stack.append((e.dst, p2, kk))
-    return out
 
 
 def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
@@ -113,17 +113,17 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
     if any(x == 0 for row in m_star for x in row):
         raise GraphError("gamma_star must have an entrywise positive matrix")
     words = loop_words(system, base, max_length, tuple(gamma_star), allowed_edges)
+    words = list(itertools.islice(words, max_letters + 1))
     if len(words) > max_letters:
         raise GraphError(
-            f"induced alphabet has {len(words)} letters, above the guard "
-            f"{max_letters}; lower L"
+            f"induced alphabet exceeds the guard of {max_letters} letters; lower L"
         )
     letters = []
     for w in words:
-        m = m_star
+        rows = [list(r) for r in m_star]
         for i in w:
-            m = mat_mul(m, system.edge_matrix(i))
-        letters.append(Letter(system.path_labels(w), tuple(w), m))
+            system.act(i, rows)
+        letters.append(Letter(system.path_labels(w), w, tuple(map(tuple, rows))))
     return letters
 
 

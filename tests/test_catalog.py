@@ -30,6 +30,9 @@ def test_build_rejects_unknown_name_and_bad_dims():
         build("cassaigne", 4)
     with pytest.raises(GraphError):
         build("brun", 2)
+    for name in ("brun", "selmer-restricted", "arnoux-rauzy", "arp"):
+        with pytest.raises(GraphError, match="limited to 7 letters"):
+            build(name, 8)
 
 
 def test_gasket_family_accepts_simplex_dimension():

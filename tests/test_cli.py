@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import mcf
 from mcf.catalog import build
 from mcf.cli import main
 from mcf.stochastic import cylinder_measure
@@ -212,3 +216,19 @@ def test_dimension_command_reports_bound(runner):
 def test_pressure_out_of_range_is_exit_2(runner, args):
     r = runner.invoke(main, args)
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["pressure", "--catalog", "brun", "--dim", "3", "--L", "40", "--n", "1"],
+    ["criterion", "--catalog", "brun", "--dim", "17"],
+])
+def test_size_guards_exit_2_without_building_everything(args):
+    # In a child process, so that a guard that waits for the whole alphabet
+    # or the whole graph fails by its timeout instead of hanging the suite.
+    src = os.path.dirname(os.path.dirname(mcf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-m", "mcf.cli", *args],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": path})
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from mcf.catalog import build
 from mcf.graph import (
     GraphError,
     SimplicialSystem,
@@ -147,3 +150,81 @@ def test_positive_path_is_positive():
 def test_positive_path_respects_edge_restriction():
     s = gauss()
     assert find_positive_path(s, allowed_edges=[0]) is None
+
+
+MATRIX_SYSTEMS = [("brun", 4), ("selmer-restricted", 4), ("arnoux-rauzy", 3),
+                  ("cassaigne", 3)]
+
+
+def unipotent(s, i):
+    """Edge matrix from its definition: the identity plus a 1 at
+    (winner, loser) for every other out-label of the source vertex."""
+    e = s.edges[i]
+    loser = s.label_index[e.label]
+    m = [[int(r == c) for c in range(s.dim)] for r in range(s.dim)]
+    for j in s.out_edges(e.src):
+        w = s.label_index[s.edges[j].label]
+        if w != loser:
+            m[w][loser] = 1
+    return tuple(map(tuple, m))
+
+
+def product(a, b):
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a
+    )
+
+
+@pytest.mark.parametrize("name,dim", MATRIX_SYSTEMS)
+def test_edge_matrix_is_identity_plus_winner_entries(name, dim):
+    s = build(name, dim).system
+    for i in range(len(s.edges)):
+        assert s.edge_matrix(i) == unipotent(s, i)
+
+
+@pytest.mark.parametrize("name,dim", MATRIX_SYSTEMS)
+def test_path_matrix_is_the_product_of_edge_matrices(name, dim):
+    s = build(name, dim).system
+    rng = random.Random(f"{name}{dim}")
+    for _ in range(40):
+        v = rng.choice(s.vertices)
+        path = []
+        expected = tuple(tuple(int(r == c) for c in range(s.dim))
+                         for r in range(s.dim))
+        for _ in range(rng.randint(0, 12)):
+            if s.is_hole(v):
+                break
+            i = rng.choice(s.out_edges(v))
+            path.append(i)
+            expected = product(expected, unipotent(s, i))
+            v = s.edges[i].dst
+        assert s.path_matrix(path) == expected
+
+
+def test_act_is_right_multiplication_by_the_edge_matrix():
+    s = build("brun", 3).system
+    rows = [[3, 5, 7], [1, 0, 2]]
+    for i in range(len(s.edges)):
+        m = s.edge_matrix(i)
+        expected = [list(r) for r in product(tuple(map(tuple, rows)), m)]
+        assert s.act(i, [list(r) for r in rows]) == expected
+
+
+def test_table_lists_out_edges_in_label_order():
+    s = build("arnoux-rauzy", 3).system
+    for v in s.vertices:
+        assert [entry[0] for entry in s.table[v]] == list(s.out_edges(v))
+        for i, li, dst, label in s.table[v]:
+            e = s.edges[i]
+            assert (li, dst, label) == (s.label_index[e.label], e.dst, e.label)
+
+
+def test_positive_loops_are_unchanged():
+    # The loop fixes the induced alphabet, and so kappa.
+    assert find_positive_path(build("gauss").system) == [0, 1]
+    assert find_positive_path(build("brun", 3).system) == [2, 10, 11, 12, 15]
+    gasket = build("arnoux-rauzy", 2)
+    exits = set(gasket.meta["exit_edges"])
+    allowed = [i for i in range(len(gasket.system.edges)) if i not in exits]
+    assert find_positive_path(gasket.system, allowed_edges=allowed) == [
+        2, 22, 20, 28, 26, 4]

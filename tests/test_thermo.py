@@ -89,6 +89,31 @@ def test_loop_words_exclude_forbidden_factor():
     assert labeled == {(), ("1",), ("2",), ("1", "1"), ("2", "1"), ("2", "2")}
 
 
+@pytest.mark.parametrize("name,dim,L,restricted", [
+    ("brun", 3, 8, False),
+    ("arnoux-rauzy", 2, 10, True),
+])
+def test_letter_matrix_is_the_path_matrix_of_its_loop(name, dim, L, restricted):
+    named = build(name, dim)
+    s = named.system
+    allowed = None
+    if restricted:
+        exits = set(named.meta["exit_edges"])
+        allowed = [i for i in range(len(s.edges)) if i not in exits]
+    g = find_positive_path(s, allowed_edges=allowed)
+    letters = build_induced_alphabet(s, g, L, allowed)
+    assert len(letters) > 10
+    for letter in letters:
+        assert letter.matrix == s.path_matrix(list(g) + list(letter.word_edges))
+
+
+def test_alphabet_guard_raises():
+    s, g = gauss_star()
+    assert len(build_induced_alphabet(s, g, 4)) > 10
+    with pytest.raises(GraphError, match="guard of 10 letters"):
+        build_induced_alphabet(s, g, 4, max_letters=10)
+
+
 def test_letter_count_nondecreasing_in_length():
     s, g = gauss_star()
     counts = [len(build_induced_alphabet(s, g, L)) for L in (2, 4, 6)]
