@@ -247,20 +247,22 @@ class _HullBasisSystem(NamedSystem):
     def _hull_columns(self, vertex):
         raise NotImplementedError
 
-    def _basis_inverse(self, vertex):
-        cache = self.meta.setdefault("_binv", {})
+    def _basis(self, vertex):
+        """The vertex's hull columns and their integer inverse, built once."""
+        cache = self.meta.setdefault("_basis", {})
         if vertex not in cache:
-            cache[vertex] = _integer_inverse(self._hull_columns(vertex))
+            cols = self._hull_columns(vertex)
+            cache[vertex] = cols, _integer_inverse(cols)
         return cache[vertex]
 
     def _solve(self, vertex, x):
-        inv = self._basis_inverse(vertex)
+        inv = self._basis(vertex)[1]
         return tuple(sum(row[j] * x[j] for j in range(self.dim)) for row in inv)
 
     def project(self, vertex, y):
         if vertex not in self.section:
             raise GraphError(f"{vertex!r} is not a section vertex")
-        cols = self._hull_columns(vertex)
+        cols = self._basis(vertex)[0]
         return tuple(
             sum(cols[a][i] * y[a] for a in range(self.dim)) for i in range(self.dim)
         )
@@ -622,11 +624,12 @@ def _section_return(named, vertex, y):
 
 
 def _projectively_equal(a, b):
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if a[i] * b[j] != a[j] * b[i]:
-                return False
-    return all((x > 0) == (y > 0) for x, y in zip(a, b))
+    """b = c * a for some c > 0: cross-multiplied against one coordinate k
+    that is nonzero in both, and then c has the sign of a[k] * b[k]."""
+    k = next((i for i, x in enumerate(a) if x), None)
+    if k is None or not b[k] or (a[k] > 0) != (b[k] > 0):
+        return False
+    return all(x * b[k] == y * a[k] for x, y in zip(a, b))
 
 
 def sample_domain_point(named, rng, bits=62, max_tries=10000):

@@ -118,12 +118,22 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
         raise GraphError(
             f"induced alphabet exceeds the guard of {max_letters} letters; lower L"
         )
+    # Consecutive words share prefixes in depth-first order: prefix[i] holds
+    # the rows of m_star . w[:i] of the last word, so each word only acts
+    # with the suffix it does not share with the word before it.
+    prefix = [[list(r) for r in m_star]]
+    prev = ()
     letters = []
     for w in words:
-        rows = [list(r) for r in m_star]
-        for i in w:
-            system.act(i, rows)
-        letters.append(Letter(system.path_labels(w), w, tuple(map(tuple, rows))))
+        i, shared = 0, min(len(prev), len(w))
+        while i < shared and prev[i] == w[i]:
+            i += 1
+        del prefix[i + 1:]
+        for e in w[i:]:
+            prefix.append(system.act(e, [r[:] for r in prefix[-1]]))
+        matrix = tuple(map(tuple, prefix[-1]))
+        letters.append(Letter(system.path_labels(w), w, matrix))
+        prev = w
     return letters
 
 
@@ -227,44 +237,76 @@ def tuple_log_radii(letters, n):
     return out[(np.cumsum(is_rep) - 1)[canon]]
 
 
+def _pressure(log_radii, n):
+    """The truncated pressure P(kappa) = (1/n) log sum exp(-kappa l) over the
+    log radii l, as a function of kappa that returns P and dP/dkappa.
+
+    It sums over the radii shifted by their minimum, in one reused buffer.
+    The weighted sum is elementwise: numpy's ``dot`` and ``@`` call BLAS,
+    whose threads spin after each call and bill CPU time.
+    """
+    low = float(log_radii.min())
+    shifted = log_radii - low
+    e = np.empty_like(shifted)
+
+    def pressure(kappa):
+        np.multiply(shifted, -kappa, out=e)
+        np.exp(e, out=e)
+        total = float(e.sum())
+        mean = float(np.einsum("i,i->", shifted, e)) / total
+        return (math.log(total) - kappa * low) / n, -(low + mean) / n
+
+    return pressure
+
+
 def partition_sum(letters, n, kappa, log_radii=None):
     """(1/n) log Z_n at inverse dimension parameter kappa."""
     if log_radii is None:
         log_radii = tuple_log_radii(letters, n)
-    x = -kappa * log_radii
-    m = x.max()
-    return (m + math.log(np.exp(x - m).sum())) / n
+    return _pressure(log_radii, n)(kappa)[0]
+
+
+# Newton steps before the solve gives up; from the left end of the default
+# bracket it converges in about five.
+NEWTON_STEPS = 100
 
 
 def solve_kappa(letters, n, bracket=(0.25, 16.0), tol=1e-9, log_radii=None):
-    """Root of the truncated pressure in kappa, by bisection.
+    """Root of the truncated pressure in kappa, by Newton's method.
 
-    The pressure is strictly decreasing in kappa, so a sign change over the
-    bracket pins the root; the bracket endpoints are widened hints, not
-    certificates.
+    Every log radius is at least log d > 0, so the pressure is convex and
+    strictly decreasing in kappa, and Newton steps from the left end of the
+    bracket, where it is nonnegative, rise monotonically to the root.  The
+    bracket endpoints are widened hints, not certificates: a root outside
+    the bracket raises, and so does a solve that does not reach ``tol``.
     """
     if log_radii is None:
         log_radii = tuple_log_radii(letters, n)
     lo, hi = bracket
-    flo = partition_sum(letters, n, lo, log_radii)
-    fhi = partition_sum(letters, n, hi, log_radii)
-    if flo < 0 or fhi > 0:
-        raise GraphError(
+    pressure = _pressure(log_radii, n)
+
+    def no_sign_change(p_lo):
+        return GraphError(
             f"no pressure sign change over bracket {bracket}: "
-            f"P({lo})={flo:.4g}, P({hi})={fhi:.4g}"
+            f"P({lo})={p_lo:.4g}, P({hi})={pressure(hi)[0]:.4g}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = partition_sum(letters, n, mid, log_radii)
-        if abs(fm) < tol or hi - lo < 1e-13:
-            lo = hi = mid
-            break
-        if fm > 0:
-            lo = mid
-        else:
-            hi = mid
-    kappa = 0.5 * (lo + hi)
-    return kappa, partition_sum(letters, n, kappa, log_radii)
+
+    kappa = float(lo)
+    p_lo, slope = pressure(kappa)
+    if p_lo < 0:
+        raise no_sign_change(p_lo)
+    p = p_lo
+    for _ in range(NEWTON_STEPS):
+        if abs(p) < tol:
+            return kappa, p
+        kappa -= p / slope
+        if kappa > hi:
+            raise no_sign_change(p_lo)
+        p, slope = pressure(kappa)
+    raise GraphError(
+        f"kappa solve did not converge in {NEWTON_STEPS} Newton steps; "
+        f"last |P|={abs(p):.3g}"
+    )
 
 
 def pressure_analysis(system, max_length, n, base=None, gamma_star=None,

@@ -5,6 +5,7 @@ import pytest
 from mcf.catalog import (
     NAMES,
     DomainEscape,
+    _projectively_equal,
     _section_return,
     build,
     catalog_entries,
@@ -163,6 +164,18 @@ def test_conjugacy_exact(name, dim):
     assert r["failures"] == []
     assert r["agreements"] + r["ties"] + r["escapes"] == 25
     assert r["tie_rate"] < 0.2
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    ((1, 2, 3), (2, 4, 6), True),
+    ((0, 1, 2), (0, 3, 6), True),
+    ((1, 2, 3), (-1, -2, -3), False),
+    ((1, 2, 3), (1, 2, 4), False),
+    ((0, 1, 2), (1, 1, 2), False),
+    ((1, 2, 3), (0, 0, 0), False),
+])
+def test_projectively_equal_needs_a_positive_multiple(a, b, equal):
+    assert _projectively_equal(a, b) is equal
 
 
 def test_conjugacy_survives_escapes_for_holed_system():

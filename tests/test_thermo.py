@@ -92,6 +92,8 @@ def test_loop_words_exclude_forbidden_factor():
 @pytest.mark.parametrize("name,dim,L,restricted", [
     ("brun", 3, 8, False),
     ("arnoux-rauzy", 2, 10, True),
+    ("gauss", None, 20, False),
+    ("brun", 3, 12, False),
 ])
 def test_letter_matrix_is_the_path_matrix_of_its_loop(name, dim, L, restricted):
     named = build(name, dim)
@@ -158,8 +160,54 @@ def test_solve_kappa_root_property_and_bad_bracket():
     kappa, residual = solve_kappa(letters, 2, log_radii=radii)
     assert abs(residual) < 1e-6
     assert 1.5 < kappa < 2.0
-    with pytest.raises(GraphError):
-        solve_kappa(letters, 2, bracket=(8.0, 16.0), log_radii=radii)
+    # the root lies below the first bracket and above the second
+    for bracket in ((8.0, 16.0), (0.25, 1.0)):
+        with pytest.raises(GraphError, match="no pressure sign change"):
+            solve_kappa(letters, 2, bracket=bracket, log_radii=radii)
+
+
+def bisection_kappa(radii, n, lo=0.25, hi=16.0):
+    """Oracle: bisect the log-sum-exp pressure to a width of 1e-14."""
+    def pressure(kappa):
+        x = -kappa * radii
+        m = x.max()
+        return (m + math.log(np.exp(x - m).sum())) / n
+
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        if pressure(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name,dim,L,n,restricted", [
+    ("gauss", None, 8, 2, False),
+    ("brun", 3, 8, 1, False),
+    ("arnoux-rauzy", 2, 10, 2, True),
+])
+def test_solve_kappa_matches_a_bisection_oracle(name, dim, L, n, restricted):
+    named = build(name, dim)
+    s = named.system
+    allowed = None
+    if restricted:
+        exits = set(named.meta["exit_edges"])
+        allowed = [i for i in range(len(s.edges)) if i not in exits]
+    g = find_positive_path(s, allowed_edges=allowed)
+    letters = build_induced_alphabet(s, g, L, allowed)
+    radii = tuple_log_radii(letters, n)
+    kappa, residual = solve_kappa(letters, n, log_radii=radii)
+    assert abs(kappa - bisection_kappa(radii, n)) < 1e-9
+    assert abs(residual) < 1e-9
+    assert type(kappa) is float and type(residual) is float
+
+
+def test_solve_kappa_raises_when_it_does_not_converge():
+    s, g = gauss_star()
+    letters = build_induced_alphabet(s, g, 8)
+    with pytest.raises(GraphError, match=r"did not converge.*\|P\|"):
+        solve_kappa(letters, 2, tol=0.0)
 
 
 def test_pressure_monotone_in_truncation_length():
