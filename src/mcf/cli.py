@@ -185,7 +185,8 @@ def criterion(graph, catalog_name, dim, out, fmt, strict):
 @click.option("--q0", default=None, help="Start distortion, e.g. 1,1,1.")
 @click.option("--tau", type=click.FloatRange(min=0, min_open=True), default=None,
               help="Also report how often the distortion jump by tau "
-                   "precedes a win of each letter.")
+                   "precedes a win of each letter, and how many walks "
+                   "stayed undecided.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt):
@@ -217,6 +218,7 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
                 "frequency": r["frequency"],
                 "stderr": r["stderr"],
                 "bound": 1.0 / tau,
+                "truncated": r["truncated"],
             }
         payload["jump_before_win"] = jump_vs_win
     _emit(payload, out, fmt)

@@ -239,11 +239,20 @@ def estimate_order_prob(
     """Monte Carlo frequency of {A fires no later than B} (or strictly before).
 
     The exact engine ("exact") derives per-trial substreams from (seed, trial
-    index); the batch engine ("batch") consumes one stream per call.
+    index); the batch engine ("batch") consumes one stream per call and stops
+    each walk once its order is decided, on the step where A or B first
+    fires (both are evaluated on that step, so a tie still counts).
+    ``truncated`` counts the walks whose order is undecided at max_steps:
+    neither stop fired, by then or before the walk entered a hole.
     """
+    if trials < 1:
+        raise GraphError("trials must be positive")
+    if max_steps < 0:
+        raise GraphError("max_steps must be non-negative")
     stops = [stop_a, stop_b]
     if engine == "batch":
-        a, b = batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps)
+        a, b = _fire_steps(system, vertex, q0, stops, trials, seed, max_steps,
+                           live=np.all)
     elif engine == "exact":
         a, b = np.full((2, trials), -1, dtype=np.int64)
         for t in range(trials):
@@ -254,7 +263,7 @@ def estimate_order_prob(
         raise GraphError(f"unknown engine {engine!r}; use 'batch' or 'exact'")
     first = a < b if strict else a <= b
     count = int(((a >= 0) & ((b < 0) | first)).sum())
-    truncated = int(((a < 0) | (b < 0)).sum())
+    truncated = int(((a < 0) & (b < 0)).sum())
     freq = count / trials
     stderr = math.sqrt(max(freq * (1 - freq), 1e-300) / trials)
     return {
@@ -274,7 +283,11 @@ def estimate_order_prob(
 # lane's values, and the lane moves to the slot's target.  The engines differ
 # in the chooser (a q-law draw, or the exact integer minimum) and in what
 # they record.  Lanes retire when they enter a hole, tie, or have nothing
-# left to record, and only then are the lane arrays compacted.
+# left to record, and only then are the lane arrays compacted.  Firing steps
+# have one loop with two retirement rules: ``batch_fire_steps`` keeps a lane
+# until all of its stops have fired, ``estimate_order_prob`` only until one
+# has, since the order is decided then.  Each lane carries its pending-stop
+# mask, so a step that fires nothing writes nothing and compacts nothing.
 
 # Rescale q at least this often: a step multiplies max(q) by at most the
 # out-degree, so 64 steps stay inside the float range below out-degree 2**15.
@@ -319,6 +332,7 @@ class _Lanes:
 
     ``trial`` is each lane's row in the engine's output, ``vertex`` its
     vertex index and ``vals`` its values, with one spare column last.
+    Engines may attach further per-lane arrays; ``keep`` compacts them all.
     """
 
     def __init__(self, system, vertex, vals):
@@ -353,7 +367,7 @@ def _q_draw(rng):
     its coordinate, which then becomes the sum of the competing ones."""
 
     def choose(q, labels, rows):
-        cum = np.cumsum(np.take_along_axis(q, labels, axis=1), axis=1)
+        cum = np.cumsum(q[rows[:, None], labels], axis=1)
         total = cum[:, -1]
         u = rng.random(len(rows)) * total
         # padding weighs 0 and comes first, so the count always passes over
@@ -368,7 +382,7 @@ def _q_draw(rng):
 def _exact_min(x, labels, rows):
     """Chooser of the induction: the smallest competing coordinate loses and
     is subtracted from the other competing ones."""
-    vals = np.take_along_axis(x, labels, axis=1)
+    vals = x[rows[:, None], labels]
     slot = vals.argmin(axis=1)
     low = vals[rows, slot]
     vals -= low[:, None]
@@ -385,21 +399,21 @@ def _halvings(q):
 
 def _q_lanes(system, vertex, q0, trials):
     q = np.array([float(c) for c in q0] + [0.0])
+    if not (q[:-1] > 0).all():
+        raise GraphError("q0 must be positive")
     return _Lanes(system, vertex, np.tile(q, (trials, 1)))
 
 
-def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
-    """First firing step of each stop for each trial; -1 when it has not
-    fired by max_steps or the walk entered a hole first.
-
-    q is rescaled by exact powers of two, and each lane's copy of q0 by the
-    same factors, so comparisons of q with multiples of q0 are exact as long
-    as q0 and the sums that make q are exact in floating point.
-    """
+def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
+    """First firing step of each stop for each trial, -1 where it did not
+    fire.  A lane walks while ``live(pending, axis=1)`` holds for its row of
+    pending stops: ``np.any`` walks it until every stop has fired,
+    ``np.all`` until the first one has."""
     table = _padded_table(system)
     draw = _q_draw(make_rng(seed))
     lanes = _q_lanes(system, vertex, q0, trials)
     lanes.q0 = lanes.vals[:, :-1].copy()
+    lanes.pending = np.ones((trials, len(stops)), dtype=bool)
     index = system.label_index
     fired = np.full((len(stops), trials), -1, dtype=np.int64)
     loser = np.full(trials, -1)
@@ -411,15 +425,32 @@ def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
             e = _halvings(lanes.vals)
             lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
         walks = Walks(lanes.vals, lanes.q0, loser, present, step)
-        pending = fired[:, lanes.trial] < 0
+        some_fired = False
         for j, s in enumerate(stops):
-            hit = pending[j] & s.fires(walks, index)
-            fired[j, lanes.trial[hit]] = step
-            pending[j] &= ~hit
-        lanes.keep(pending.any(axis=0))
+            hit = lanes.pending[:, j] & s.fires(walks, index)
+            if hit.any():
+                fired[j, lanes.trial[hit]] = step
+                lanes.pending[hit, j] = False
+                some_fired = True
+        if some_fired:
+            lanes.keep(live(lanes.pending, axis=1))
         if not lanes.trial.size:
             break
     return fired
+
+
+def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
+    """First firing step of each stop for each trial; -1 when it has not
+    fired by max_steps or the walk entered a hole first.
+
+    q is rescaled by exact powers of two, and each lane's copy of q0 by the
+    same factors, so comparisons of q with multiples of q0 are exact as long
+    as q0 and the sums that make q are exact in floating point.
+    """
+    if max_steps < 0:
+        raise GraphError("max_steps must be non-negative")
+    return _fire_steps(system, vertex, q0, stops, trials, seed, max_steps,
+                       live=np.any)
 
 
 def batch_record_paths(system, vertex, q0, n_steps, trials, seed):

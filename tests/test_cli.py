@@ -156,6 +156,7 @@ def test_simulate_tau_reports_every_letter(runner):
     d = json.loads(r.output)
     assert sorted(d["jump_before_win"]) == ["1", "2", "3"]
     assert all(v["bound"] == 0.5 for v in d["jump_before_win"].values())
+    assert all(v["truncated"] == 0 for v in d["jump_before_win"].values())
 
 
 @pytest.mark.parametrize("args", [["--tau", "0"], ["--trials", "0", "--tau", "2"],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcf import stochastic
 from mcf.catalog import build
 from mcf.graph import GraphError, vec_mat
 from mcf.stochastic import (
@@ -285,3 +287,106 @@ def test_batch_engines_retire_lanes_in_holes():
     # its recorded walk sat in a hole
     assert ((fired == -1) == (rec == -1).any(axis=1)).all()
     assert ((fired == -1) | (fired == n)).all()
+
+
+@pytest.mark.parametrize("q0", [(0, 1, 1), (-1, 2, 3), (0, 0, 0)])
+def test_batch_engines_reject_a_non_positive_q0(q0):
+    s = brun3()
+    v = s.vertices[0]
+    with pytest.raises(GraphError, match="q0 must be positive"):
+        batch_fire_steps(s, v, q0, [StepCount(5)], 10, 1, 5)
+    with pytest.raises(GraphError, match="q0 must be positive"):
+        batch_record_paths(s, v, q0, 5, 10, 1)
+    for engine in ("batch", "exact"):
+        with pytest.raises(GraphError, match="q0 must be positive"):
+            estimate_order_prob(s, v, q0, Jump(2), Win("1"), 10, 1,
+                                engine=engine)
+
+
+def test_out_of_range_counts_raise():
+    s = brun3()
+    v = s.vertices[0]
+    for engine in ("batch", "exact"):
+        with pytest.raises(GraphError, match="trials"):
+            estimate_order_prob(s, v, (1, 1, 1), Jump(2), Win("1"), 0, 1,
+                                engine=engine)
+        with pytest.raises(GraphError, match="max_steps"):
+            estimate_order_prob(s, v, (1, 1, 1), Jump(2), Win("1"), 10, 1,
+                                max_steps=-1, engine=engine)
+    with pytest.raises(GraphError, match="max_steps"):
+        batch_fire_steps(s, v, (1, 1, 1), [StepCount(0)], 10, 1, -1)
+
+
+def test_order_walks_stop_once_their_order_is_decided(monkeypatch):
+    # from (7, 2, 9) the first step either makes letter 1 lose, which more
+    # than doubles its coordinate, or lets it win: every order is decided
+    calls = []
+    step = stochastic._step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(stochastic, "_step", counted)
+    s = brun3()
+    r = estimate_order_prob(s, s.vertices[0], (7, 2, 9), JumpCoord("1", 2),
+                            Win("1"), 1000, 3, max_steps=10**4, strict=True)
+    assert len(calls) == 1
+    assert r["truncated"] == 0
+
+
+@pytest.mark.parametrize("engine", ["batch", "exact"])
+def test_truncated_counts_the_undecided_walks(engine):
+    s = brun3()
+    v = s.vertices[0]
+    decided = estimate_order_prob(s, v, (1, 1, 1), StepCount(0),
+                                  StepCount(10**6), 50, 2, max_steps=5,
+                                  engine=engine)
+    assert decided["frequency"] == 1.0
+    assert decided["truncated"] == 0
+    undecided = estimate_order_prob(s, v, (1, 1, 1), StepCount(10**6),
+                                    StepCount(10**6), 50, 2, max_steps=5,
+                                    engine=engine)
+    assert undecided["truncated"] == 50
+
+
+def _digest(a):
+    h = hashlib.sha256(str(a.shape).encode())
+    h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of the seeded batch_fire_steps, batch_record_paths and
+# batch_code_points outputs below
+PINNED = {
+    ("gauss", 2): (
+        "f29696b31ab181df77e43177edfb298bdbe46d8a535a0c786d094fbe44710076",
+        "0d6bd43a813128b5677f82723a296018df2bb3e6d9663c1b3da40fd14380abd4",
+        "d48111ed80c12eca35881fccd192b27895c73d548949ceb9a73199c0f31a2569",
+    ),
+    ("brun", 3): (
+        "0fcf3695ed031647cf1b7f4a0b3ed2dbc5ede51c95de522c01120df43a0b0b2f",
+        "d2626100158d399ca394fda4e49ecf4d2c5a40c89b6552024dbca0186a788ed5",
+        "a03355cb9425e298bc5de84f23aaf53787617668306f983cacf20731bfee110f",
+    ),
+    ("brun", 5): (
+        "709657ab088a8f543449478da75853bd74e7b7d53dc82a072d957914ae31058d",
+        "968d3c0b14238f88703d85202d8e0f1c0ca2b00cf4724c617dc65acdbbb85c84",
+        "7e59ed1fc388069f3988bd604a674185351094ce1f4f422d6e7a5d1e8e2d4d01",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, dim", sorted(PINNED))
+def test_seeded_engine_outputs_are_pinned(name, dim):
+    # the engines' draw order is part of their output: a change to it must
+    # update these digests and say why
+    s = build(name, dim).system
+    v = s.vertices[0]
+    q0 = tuple(range(2, dim + 2))
+    stops = [JumpCoord("1", 3), Win("2"), Lose(s.alphabet[-1]), Jump(50),
+             StepCount(90)]
+    fired = batch_fire_steps(s, v, q0, stops, 400, 21, 150)
+    rec = batch_record_paths(s, v, q0, 150, 200, 22)
+    code = batch_code_points(s, v, 12, 400, 23)
+    assert (_digest(fired), _digest(rec), _digest(code)) == PINNED[name, dim]
