@@ -8,7 +8,6 @@ from .graph import (
     degenerate_subgraph,
     find_positive_path,
     strongly_connected_components,
-    validate_system,
 )
 from .induction import (
     BoundaryTieError,

@@ -1,10 +1,14 @@
 """Named graph models of classical subtractive continued fraction algorithms.
 
-Each entry couples a labeled graph with the classical map it linearizes: an
-exact embedding of simplex points into per-vertex cone coordinates, the
-classical reference step, and a projection back.  A conjugacy check walks the
-graph induction to its section and compares, exactly and projectively, with
-iterating the reference map.
+Each entry couples a labeled graph, its section (the vertices where the
+graph point is compared with the classical point) and the classical map it
+linearizes.  One basis model carries points between the two: a simplex point
+lies in the cone of one section vertex, spanned by that vertex's integer
+columns; ``embed`` solves exactly for the point's positive coordinates in
+those columns, and ``project`` sums the columns back.  A conjugacy check
+walks the graph induction to its section and compares, exactly and
+projectively, with iterating the reference map.  ``FAMILIES`` lists every
+named system once.
 """
 
 from __future__ import annotations
@@ -13,8 +17,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
+from typing import Callable, NamedTuple
 
-from .graph import GraphError, SimplicialSystem
+from .graph import MAX_CRITERION_ALPHABET, GraphError, SimplicialSystem
 from .induction import BoundaryTieError, HoleReachedError, _advance, _integer_point
 
 
@@ -27,16 +33,10 @@ class DomainEscape(RuntimeError):
 # letter multiplies the size and the build time by about ten.
 MAX_RANKING_DIM = 7
 
-NAMES = (
-    "gauss",
-    "fully-subtractive",
-    "poincare",
-    "brun",
-    "selmer-restricted",
-    "cassaigne",
-    "arnoux-rauzy",
-    "arp",
-)
+# Largest letter count of the Poincaré family, whose graph has a vertex per
+# subset of the letters and so doubles with each letter: poincare(14) has
+# 16 369 vertices, about as many as brun(7).
+MAX_POINCARE_DIM = 14
 
 
 def _labels(n):
@@ -53,6 +53,11 @@ def _vname(prefix, sigma, k=None):
     return base if k is None else f"{base}:{k}"
 
 
+def _sigma(vertex):
+    """The ranking a vertex name carries."""
+    return tuple(vertex.split(":")[1].split(","))
+
+
 def _ordering(x):
     """Labels ranked by decreasing coordinate; ties are boundary events."""
     n = len(x)
@@ -65,154 +70,6 @@ def _ordering(x):
 
 def _coord(x, label):
     return x[int(label) - 1]
-
-
-@dataclass
-class NamedSystem:
-    name: str
-    dim: int
-    system: SimplicialSystem
-    section: frozenset
-    meta: dict = field(default_factory=dict)
-
-    def embed(self, x):
-        raise NotImplementedError
-
-    def project(self, vertex, y):
-        raise NotImplementedError
-
-    def reference_step(self, x):
-        raise NotImplementedError
-
-    def in_domain(self, x):
-        return all(c > 0 for c in x)
-
-    def canonical(self, x):
-        """Representative of ``x`` under the symmetry the graph quotients by."""
-        return tuple(x)
-
-    def describe(self):
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "vertices": len(self.system.vertices),
-            "edges": len(self.system.edges),
-            "holes": list(self.system.holes),
-            "section": sorted(self.section),
-        }
-
-
-# -- direct systems: the graph point is the simplex point itself -----------
-
-
-class _IdentitySystem(NamedSystem):
-    def embed(self, x):
-        return self.meta["base"], tuple(x)
-
-    def project(self, vertex, y):
-        if vertex not in self.section:
-            raise GraphError(f"{vertex!r} is not a section vertex")
-        return tuple(y)
-
-
-class Gauss(_IdentitySystem):
-    def reference_step(self, x):
-        a, b = x
-        if a == b:
-            raise BoundaryTieError("equal coordinates")
-        return (a - b, b) if a > b else (a, b - a)
-
-
-class FullySubtractive(_IdentitySystem):
-    def reference_step(self, x):
-        sigma = _ordering(x)
-        lo = _coord(x, sigma[-1])
-        return tuple(c if str(i + 1) == sigma[-1] else c - lo for i, c in enumerate(x))
-
-
-def _poincare_step(x, sigma):
-    """Every coordinate but the smallest minus the next one in the ranking
-    ``sigma``."""
-    out = list(x)
-    for k, l in enumerate(sigma[:-1]):
-        out[int(l) - 1] = _coord(x, l) - _coord(x, sigma[k + 1])
-    return tuple(out)
-
-
-class Poincare(_IdentitySystem):
-    def reference_step(self, x):
-        return _poincare_step(x, _ordering(x))
-
-
-# -- ranking-state systems: points carried in per-vertex cone bases --------
-
-
-class _RankedBasisSystem(NamedSystem):
-    """Systems whose section vertices are indexed by rankings, with the
-    telescoping difference basis: the head label keeps its own coordinate and
-    each later rank stores the gap to the next one."""
-
-    prefix = "B"
-
-    def embed(self, x):
-        sigma = _ordering(x)
-        return _vname(self.prefix, sigma), self._to_basis(sigma, x)
-
-    def _to_basis(self, sigma, x):
-        y = [None] * self.dim
-        y[int(sigma[0]) - 1] = _coord(x, sigma[0])
-        y[int(sigma[-1]) - 1] = _coord(x, sigma[-1])
-        for k in range(1, self.dim - 1):
-            y[int(sigma[k]) - 1] = _coord(x, sigma[k]) - _coord(x, sigma[k + 1])
-        return tuple(y)
-
-    def project(self, vertex, y):
-        if vertex not in self.section:
-            raise GraphError(f"{vertex!r} is not a section vertex")
-        sigma = tuple(vertex.split(":")[1].split(","))
-        x = [None] * self.dim
-        x[int(sigma[0]) - 1] = y[int(sigma[0]) - 1]
-        acc = 0
-        for l in reversed(sigma[1:]):
-            acc = acc + y[int(l) - 1]
-            x[int(l) - 1] = acc
-        return tuple(x)
-
-
-class Brun(_RankedBasisSystem):
-    prefix = "B"
-
-    def reference_step(self, x):
-        sigma = _ordering(x)
-        out = list(x)
-        out[int(sigma[0]) - 1] = _coord(x, sigma[0]) - _coord(x, sigma[1])
-        return tuple(out)
-
-
-class ArnouxRauzy(_RankedBasisSystem):
-    prefix = "I"
-    poincare_fallback = False
-
-    def reference_step(self, x):
-        sigma = _ordering(x)
-        top = _coord(x, sigma[0])
-        rest = sum(_coord(x, l) for l in sigma[1:])
-        if top == rest:
-            raise BoundaryTieError("point on the critical wall")
-        if top > rest:
-            out = list(x)
-            out[int(sigma[0]) - 1] = top - rest
-            return tuple(out)
-        if not self.poincare_fallback:
-            raise DomainEscape("point left the surviving set")
-        return _poincare_step(x, sigma)
-
-
-class ArnouxRauzyPoincare(ArnouxRauzy):
-    poincare_fallback = True
-
-
-# -- hull-basis systems: Selmer and its folded three-letter form -----------
 
 
 def _integer_inverse(cols):
@@ -239,43 +96,168 @@ def _integer_inverse(cols):
     return [[v.numerator * (den // v.denominator) for v in row] for row in inv]
 
 
-class _HullBasisSystem(NamedSystem):
-    """Systems whose vertex cones are simplices spanned by explicit hull
-    points; embedding solves for exact barycentric-like coordinates, up to a
-    positive factor per vertex, in integers."""
-
-    def _hull_columns(self, vertex):
-        raise NotImplementedError
-
-    def _basis(self, vertex):
-        """The vertex's hull columns and their integer inverse, built once."""
-        cache = self.meta.setdefault("_basis", {})
-        if vertex not in cache:
-            cols = self._hull_columns(vertex)
-            cache[vertex] = cols, _integer_inverse(cols)
-        return cache[vertex]
-
-    def _solve(self, vertex, x):
-        inv = self._basis(vertex)[1]
-        return tuple(sum(row[j] * x[j] for j in range(self.dim)) for row in inv)
-
-    def project(self, vertex, y):
-        if vertex not in self.section:
-            raise GraphError(f"{vertex!r} is not a section vertex")
-        cols = self._basis(vertex)[0]
-        return tuple(
-            sum(cols[a][i] * y[a] for a in range(self.dim)) for i in range(self.dim)
-        )
-
-
 def _v_point(n, alpha):
     """All-ones vector with a zero in the given label coordinate."""
     return tuple(0 if i == int(alpha) - 1 else 1 for i in range(n))
 
 
-class Selmer(_HullBasisSystem):
-    def _hull_columns(self, vertex):
-        sigma = tuple(vertex.split(":")[1].split(","))
+@dataclass
+class NamedSystem:
+    """A graph with its section and the classical map it linearizes.
+
+    A simplex point x is carried at the section vertex ``_vertex(x)``, in the
+    cone spanned by that vertex's integer ``_columns`` (the column of label a
+    at index a - 1).  By default there is one section vertex and its columns
+    are the unit vectors, so the graph point is x itself.
+    """
+
+    name: str
+    dim: int
+    system: SimplicialSystem
+    section: frozenset
+    meta: dict = field(default_factory=dict)
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def _vertex(self, x):
+        """Section vertex whose cone holds x: by default the only one."""
+        (vertex,) = self.section
+        return vertex
+
+    def _columns(self, vertex):
+        n = self.dim
+        return [tuple(int(i == a) for i in range(n)) for a in range(n)]
+
+    def _basis(self, vertex):
+        """Rows of the vertex's column matrix and of its integer inverse,
+        built once."""
+        basis = self._bases.get(vertex)
+        if basis is None:
+            cols = self._columns(vertex)
+            basis = self._bases[vertex] = tuple(zip(*cols)), _integer_inverse(cols)
+        return basis
+
+    def embed(self, x):
+        """Section vertex and positive cone coordinates of x, up to a
+        positive factor."""
+        vertex = self._vertex(x)
+        y = tuple(sum(map(mul, row, x)) for row in self._basis(vertex)[1])
+        if any(c <= 0 for c in y):
+            raise GraphError("point is outside the stable domain")
+        return vertex, y
+
+    def project(self, vertex, y):
+        if vertex not in self.section:
+            raise GraphError(f"{vertex!r} is not a section vertex")
+        return tuple(sum(map(mul, row, y)) for row in self._basis(vertex)[0])
+
+    def reference_step(self, x):
+        raise NotImplementedError
+
+    def in_domain(self, x):
+        return all(c > 0 for c in x)
+
+    def canonical(self, x):
+        """Representative of ``x`` under the symmetry the graph quotients by."""
+        return tuple(x)
+
+    def describe(self):
+        return {
+            "name": self.name,
+            "dim": self.dim,
+            "vertices": len(self.system.vertices),
+            "edges": len(self.system.edges),
+            "holes": list(self.system.holes),
+            "section": sorted(self.section),
+        }
+
+
+class FullySubtractive(NamedSystem):
+    """Every coordinate but the smallest minus the smallest; at two letters
+    this is the Gauss map."""
+
+    def reference_step(self, x):
+        sigma = _ordering(x)
+        lo = _coord(x, sigma[-1])
+        return tuple(c if str(i + 1) == sigma[-1] else c - lo for i, c in enumerate(x))
+
+
+def _poincare_step(x, sigma):
+    """Every coordinate but the smallest minus the next one in the ranking
+    ``sigma``."""
+    out = list(x)
+    for k, l in enumerate(sigma[:-1]):
+        out[int(l) - 1] = _coord(x, l) - _coord(x, sigma[k + 1])
+    return tuple(out)
+
+
+class Poincare(NamedSystem):
+    def reference_step(self, x):
+        return _poincare_step(x, _ordering(x))
+
+
+class Brun(NamedSystem):
+    """Section vertices named by the ranking of the point, with telescoping
+    columns: the head's column is its unit vector, and the column of the k-th
+    label after the head sums the unit vectors of the first k labels after
+    the head.  Their inverse is unimodular: the head keeps its coordinate,
+    each later label stores the gap to the next one and the last its own."""
+
+    prefix = "B"
+
+    def _vertex(self, x):
+        return _vname(self.prefix, _ordering(x))
+
+    def _columns(self, vertex):
+        sigma = _sigma(vertex)
+        cols = [None] * self.dim
+        for k, l in enumerate(sigma):
+            span = sigma[min(k, 1):k + 1]
+            cols[int(l) - 1] = tuple(int(m in span) for m in _labels(self.dim))
+        return cols
+
+    def reference_step(self, x):
+        sigma = _ordering(x)
+        out = list(x)
+        out[int(sigma[0]) - 1] = _coord(x, sigma[0]) - _coord(x, sigma[1])
+        return tuple(out)
+
+
+class ArnouxRauzy(Brun):
+    """Its graph opens with Brun's chain at each ranking, so its section
+    cones are Brun's."""
+
+    prefix = "I"
+    poincare_fallback = False
+
+    def reference_step(self, x):
+        sigma = _ordering(x)
+        top = _coord(x, sigma[0])
+        rest = sum(_coord(x, l) for l in sigma[1:])
+        if top == rest:
+            raise BoundaryTieError("point on the critical wall")
+        if top > rest:
+            out = list(x)
+            out[int(sigma[0]) - 1] = top - rest
+            return tuple(out)
+        if not self.poincare_fallback:
+            raise DomainEscape("point left the surviving set")
+        return _poincare_step(x, sigma)
+
+
+class ArnouxRauzyPoincare(ArnouxRauzy):
+    poincare_fallback = True
+
+
+class Selmer(NamedSystem):
+    """Section cones spanned by hull points of the stable domain."""
+
+    def _vertex(self, x):
+        rho = _ordering(x)
+        return _vname("S", (rho[-1],) + rho[:-1])
+
+    def _columns(self, vertex):
+        sigma = _sigma(vertex)
         n = self.dim
         cols = [None] * n
         cols[int(sigma[0]) - 1] = _v_point(n, sigma[0])
@@ -294,15 +276,6 @@ class Selmer(_HullBasisSystem):
         sigma = _ordering(x)
         return _coord(x, sigma[0]) < _coord(x, sigma[-2]) + _coord(x, sigma[-1])
 
-    def embed(self, x):
-        rho = _ordering(x)
-        sigma = (rho[-1],) + rho[:-1]
-        vertex = _vname("S", sigma)
-        y = self._solve(vertex, x)
-        if any(c <= 0 for c in y):
-            raise GraphError("point is outside the stable domain")
-        return vertex, y
-
     def reference_step(self, x):
         sigma = _ordering(x)
         out = list(x)
@@ -310,7 +283,7 @@ class Selmer(_HullBasisSystem):
         return tuple(out)
 
 
-class Cassaigne(_HullBasisSystem):
+class Cassaigne(NamedSystem):
     """Three-letter system conjugate to the reversal quotient of the
     alternating subtractive map.
 
@@ -327,16 +300,15 @@ class Cassaigne(_HullBasisSystem):
     # Change of basis between representatives and sorted cone points;
     # column k holds the image of the k-th unit vector.
     _H = ((1, 1, 1), (2, 1, 1), (1, 1, 0))
+    _H_ROWS = tuple(zip(*_H))
+    _H_INV = _integer_inverse(_H)
 
-    def _hull_columns(self, vertex):
+    def _vertex(self, x):
+        return "a"
+
+    def _columns(self, vertex):
         m = self.CENTER[vertex]
-        cols = [None] * 3
-        for a in ("1", "2", "3"):
-            if a == m:
-                cols[int(a) - 1] = (1, 1, 1)
-            else:
-                cols[int(a) - 1] = _v_point(3, a)
-        return cols
+        return [(1, 1, 1) if a == m else _v_point(3, a) for a in _labels(3)]
 
     def in_domain(self, x):
         return all(c > 0 for c in x) and x[0] != x[2]
@@ -346,26 +318,13 @@ class Cassaigne(_HullBasisSystem):
             raise BoundaryTieError("equal outer coordinates")
         return tuple(x) if x[0] > x[2] else (x[2], x[1], x[0])
 
-    def _h_inverse(self):
-        inv = self.meta.get("_hinv")
-        if inv is None:
-            inv = self.meta["_hinv"] = _integer_inverse(self._H)
-        return inv
-
     def embed(self, x):
         x = self.canonical(x)
-        z = tuple(sum(self._H[k][i] * x[k] for k in range(3)) for i in range(3))
-        y = self._solve("a", z)
-        if any(c <= 0 for c in y):
-            raise GraphError("point is outside the stable domain")
-        return "a", y
+        return super().embed(tuple(sum(map(mul, row, x)) for row in self._H_ROWS))
 
     def project(self, vertex, y):
-        z = super().project(vertex, y)
-        z = tuple(sorted(z, reverse=True))
-        inv = self._h_inverse()
-        x = tuple(sum(row[j] * z[j] for j in range(3)) for row in inv)
-        return self.canonical(x)
+        z = sorted(super().project(vertex, y), reverse=True)
+        return self.canonical(tuple(sum(map(mul, row, z)) for row in self._H_INV))
 
     def reference_step(self, x):
         x1, x2, x3 = x
@@ -376,15 +335,13 @@ class Cassaigne(_HullBasisSystem):
         return (x2, x1, x3 - x1)
 
 
-# -- graph constructions ---------------------------------------------------
-
-
-def _gauss_graph():
-    return SimplicialSystem(_labels(2), ["v"], [("v", "v", "1"), ("v", "v", "2")])
+# -- graph constructions: each returns (graph, section, meta) --------------
 
 
 def _fully_subtractive_graph(n):
-    return SimplicialSystem(_labels(n), ["v"], [("v", "v", l) for l in _labels(n)])
+    labels = _labels(n)
+    graph = SimplicialSystem(labels, ["v"], [("v", "v", l) for l in labels])
+    return graph, frozenset(["v"]), {}
 
 
 def _poincare_graph(n):
@@ -409,7 +366,22 @@ def _poincare_graph(n):
                     nxt.append((child, left))
         frontier = nxt
     order = [root] + sorted(v for v in vertices if v != root)
-    return SimplicialSystem(labels, order, edges)
+    return SimplicialSystem(labels, order, edges), frozenset([root]), {}
+
+
+def _brun_chain(vertices, edges, sigma, head, mid, end, exit_to):
+    """Append Brun's chain at the ranking ``sigma``: from ``head`` through
+    vertices named with ``mid`` to ``end``, losing the labels from the last
+    rank up, and from each chain vertex the edge losing the head, into the
+    vertex named with ``exit_to`` whose ranking moves the head down to the
+    rank the chain has reached."""
+    n = len(sigma)
+    chain = [head] + [_vname(mid, sigma, k) for k in range(1, n - 1)] + [end]
+    vertices.extend(chain[:-1])
+    for k in range(n - 1):
+        edges.append((chain[k], chain[k + 1], sigma[n - 1 - k]))
+    for k in range(n - 1):
+        edges.append((chain[k], _vname(exit_to, _rot(sigma, n - k)), sigma[0]))
 
 
 def _brun_graph(n):
@@ -418,14 +390,10 @@ def _brun_graph(n):
     edges = []
     for sigma in itertools.permutations(labels):
         white = _vname("B", sigma)
-        vertices.append(white)
-        chain = [white] + [_vname("B", sigma, k) for k in range(1, n - 1)] + [white]
-        vertices.extend(chain[1:-1])
-        for k in range(n - 1):
-            edges.append((chain[k], chain[k + 1], sigma[n - 1 - k]))
-        for k in range(n - 1):
-            edges.append((chain[k], _vname("B", _rot(sigma, n - k)), sigma[0]))
-    return SimplicialSystem(labels, vertices, edges)
+        _brun_chain(vertices, edges, sigma, white, "B", white, "B")
+    graph = fold(SimplicialSystem(labels, vertices, edges))
+    section = frozenset(v for v in graph.vertices if v.count(":") == 1)
+    return graph, section, {}
 
 
 def fold(system):
@@ -469,10 +437,11 @@ def _selmer_graph(n):
         vertices.append(v)
         edges.append((v, _vname("S", _rot(sigma, n)), sigma[-1]))
         edges.append((v, _vname("S", _rot(sigma, n - 1)), sigma[0]))
-    return SimplicialSystem(labels, vertices, edges)
+    graph = SimplicialSystem(labels, vertices, edges)
+    return graph, frozenset(vertices), {}
 
 
-def _cassaigne_graph():
+def _cassaigne_graph(n):
     edges = [
         ("a", "b", "2"),
         ("b", "c", "3"),
@@ -481,7 +450,8 @@ def _cassaigne_graph():
         ("c", "b", "2"),
         ("a", "c", "3"),
     ]
-    return SimplicialSystem(_labels(3), ["a", "b", "c"], edges)
+    graph = SimplicialSystem(_labels(n), ["a", "b", "c"], edges)
+    return graph, frozenset(graph.vertices), {}
 
 
 def _arnoux_rauzy_graph(n, exits):
@@ -490,7 +460,8 @@ def _arnoux_rauzy_graph(n, exits):
     ``exits`` decides where the critical-wall edges point: "hole" grows one
     terminal vertex per exit, "recycle" reenters the state whose head moved
     last (defined for n = 3 in the classical way, and experimentally for
-    larger n by reentering the full rotation).
+    larger n by reentering the full rotation).  ``meta["exit_edges"]`` lists
+    the critical-wall edges.
     """
     labels = _labels(n)
     vertices = []
@@ -499,13 +470,7 @@ def _arnoux_rauzy_graph(n, exits):
     for sigma in itertools.permutations(labels):
         white = _vname("I", sigma)
         tilde = _vname("J", sigma)
-        vertices.extend([white])
-        chain = [white] + [_vname("A", sigma, k) for k in range(1, n - 1)] + [tilde]
-        vertices.extend(chain[1:-1])
-        for k in range(n - 1):
-            edges.append((chain[k], chain[k + 1], sigma[n - 1 - k]))
-        for k in range(n - 1):
-            edges.append((chain[k], _vname("J", _rot(sigma, n - k)), sigma[0]))
+        _brun_chain(vertices, edges, sigma, white, "A", tilde, "J")
         vertices.append(tilde)
         seq = []
         for j in range(3, n + 1):
@@ -523,83 +488,81 @@ def _arnoux_rauzy_graph(n, exits):
                 target = _vname("I", _rot(sigma, n))
             edges.append((chain2[k], target, sigma[0]))
             exit_edges.append(len(edges) - 1)
-    return SimplicialSystem(labels, vertices, edges), exit_edges
+    section = frozenset(v for v in vertices if v.startswith("I:"))
+    return SimplicialSystem(labels, vertices, edges), section, {"exit_edges": exit_edges}
 
 
-def _resolve_dim(name, dim):
-    if name == "gauss":
-        if dim not in (None, 2):
-            raise GraphError("gauss is two-letter only")
-        return 2
-    if name == "cassaigne":
-        if dim not in (None, 3):
-            raise GraphError("cassaigne is three-letter only")
-        return 3
-    if dim is None:
-        return 3
-    if name in ("arnoux-rauzy", "arp") and dim == 2:
-        # Simplex-dimension convention for the gasket family: the planar
-        # gasket sits in the triangle, i.e. three letters.
-        return 3
-    if dim < 3:
-        raise GraphError(f"{name} needs at least three letters")
-    if dim > MAX_RANKING_DIM and name in (
-        "brun", "selmer-restricted", "arnoux-rauzy", "arp"
-    ):
-        raise GraphError(
-            f"{name} is limited to {MAX_RANKING_DIM} letters, got {dim}: its "
-            f"graph has a vertex per ranking of the letters"
-        )
-    return dim
+# -- the catalog -----------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    cls: type
+    make: Callable  # letter count -> (graph, section, meta)
+    letters: tuple  # fewest and most letters
+    dims: str  # the letter counts as ``catalog_entries`` lists them
+    holes: bool = False
+    why: str = ""  # why the letter count is bounded
+    gasket: bool = False  # also accepts the simplex dimension 2 for 3 letters
+
+
+_RANKINGS = "its graph has a vertex per ranking of the letters"
+
+FAMILIES = {
+    "gauss": _Family(FullySubtractive, _fully_subtractive_graph, (2, 2), "2"),
+    "fully-subtractive": _Family(
+        FullySubtractive, _fully_subtractive_graph, (3, MAX_CRITERION_ALPHABET),
+        f"3-{MAX_CRITERION_ALPHABET}",
+        why="the criterion check takes no larger alphabet"),
+    "poincare": _Family(
+        Poincare, _poincare_graph, (3, MAX_POINCARE_DIM), f"3-{MAX_POINCARE_DIM}",
+        why="its graph has a vertex per subset of the letters"),
+    "brun": _Family(Brun, _brun_graph, (3, MAX_RANKING_DIM),
+                    f"3-{MAX_RANKING_DIM}", why=_RANKINGS),
+    "selmer-restricted": _Family(Selmer, _selmer_graph, (3, MAX_RANKING_DIM),
+                                 f"3-{MAX_RANKING_DIM}", why=_RANKINGS),
+    "cassaigne": _Family(Cassaigne, _cassaigne_graph, (3, 3), "3"),
+    "arnoux-rauzy": _Family(
+        ArnouxRauzy, lambda n: _arnoux_rauzy_graph(n, "hole"),
+        (3, MAX_RANKING_DIM), f"3-{MAX_RANKING_DIM} (or 2)", holes=True,
+        why=_RANKINGS, gasket=True),
+    "arp": _Family(
+        ArnouxRauzyPoincare, lambda n: _arnoux_rauzy_graph(n, "recycle"),
+        (3, MAX_RANKING_DIM), f"3 (4-{MAX_RANKING_DIM} experimental)",
+        why=_RANKINGS, gasket=True),
+}
+
+NAMES = tuple(FAMILIES)
+
+_WORDS = {2: "two", 3: "three"}
 
 
 def build(name, dim=None):
     """Construct a named system.  ``dim`` counts letters (the gasket family
     also accepts the simplex dimension 2 for the three-letter system)."""
     name = str(name)
-    if name not in NAMES:
+    if name not in FAMILIES:
         raise GraphError(f"unknown catalog name {name!r}; choose from {NAMES}")
-    n = _resolve_dim(name, dim)
-    if name == "gauss":
-        sys_ = _gauss_graph()
-        return Gauss("gauss", 2, sys_, frozenset(["v"]), {"base": "v"})
-    if name == "fully-subtractive":
-        sys_ = _fully_subtractive_graph(n)
-        return FullySubtractive(name, n, sys_, frozenset(["v"]), {"base": "v"})
-    if name == "poincare":
-        sys_ = _poincare_graph(n)
-        return Poincare(name, n, sys_, frozenset(["R"]), {"base": "R"})
-    if name == "brun":
-        sys_ = fold(_brun_graph(n))
-        section = frozenset(v for v in sys_.vertices if v.count(":") == 1)
-        return Brun(name, n, sys_, section)
-    if name == "selmer-restricted":
-        sys_ = _selmer_graph(n)
-        return Selmer(name, n, sys_, frozenset(sys_.vertices))
-    if name == "cassaigne":
-        sys_ = _cassaigne_graph()
-        return Cassaigne(name, 3, sys_, frozenset(["a", "b", "c"]))
-    if name == "arnoux-rauzy":
-        sys_, exits = _arnoux_rauzy_graph(n, "hole")
-        section = frozenset(v for v in sys_.vertices if v.startswith("I:"))
-        return ArnouxRauzy(name, n, sys_, section, {"exit_edges": exits})
-    if name == "arp":
-        sys_, exits = _arnoux_rauzy_graph(n, "recycle")
-        section = frozenset(v for v in sys_.vertices if v.startswith("I:"))
-        return ArnouxRauzyPoincare(name, n, sys_, section, {"exit_edges": exits})
-    raise AssertionError
+    family = FAMILIES[name]
+    lo, hi = family.letters
+    if lo == hi:
+        if dim not in (None, lo):
+            raise GraphError(f"{name} is {_WORDS[lo]}-letter only")
+        n = lo
+    elif dim is None or (dim == 2 and family.gasket):
+        n = lo
+    elif dim < lo:
+        raise GraphError(f"{name} needs at least {_WORDS[lo]} letters")
+    elif dim > hi:
+        raise GraphError(f"{name} is limited to {hi} letters, got {dim}: {family.why}")
+    else:
+        n = dim
+    return family.cls(name, n, *family.make(n))
 
 
 def catalog_entries():
     return [
-        {"name": "gauss", "dims": "2", "holes": False},
-        {"name": "fully-subtractive", "dims": ">=3", "holes": False},
-        {"name": "poincare", "dims": ">=3", "holes": False},
-        {"name": "brun", "dims": "3-7", "holes": False},
-        {"name": "selmer-restricted", "dims": "3-7", "holes": False},
-        {"name": "cassaigne", "dims": "3", "holes": False},
-        {"name": "arnoux-rauzy", "dims": "3-7 (or 2)", "holes": True},
-        {"name": "arp", "dims": "3 (4-7 experimental)", "holes": False},
+        {"name": name, "dims": family.dims, "holes": family.holes}
+        for name, family in FAMILIES.items()
     ]
 
 

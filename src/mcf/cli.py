@@ -24,7 +24,7 @@ from .catalog import DomainEscape, build, catalog_entries, conjugacy_check
 from .graph import GraphError, SimplicialSystem, check_non_degenerating
 from .induction import BoundaryTieError, HoleReachedError, orbit
 from .stochastic import (
-    Jump,
+    JumpCoord,
     Win,
     _cone_mass,
     batch_record_paths,
@@ -184,8 +184,9 @@ def criterion(graph, catalog_name, dim, out, fmt, strict):
               help="Walk length.")
 @click.option("--q0", default=None, help="Start distortion, e.g. 1,1,1.")
 @click.option("--tau", type=click.FloatRange(min=0, min_open=True), default=None,
-              help="Also report how often the distortion jump by tau "
-                   "precedes a win of each letter, and how many walks "
+              help="Also report, per letter, how often its distortion "
+                   "coordinate grows by the factor tau before the letter "
+                   "wins, against the bound 1/tau, and how many walks "
                    "stayed undecided.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
@@ -211,7 +212,7 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
         jump_vs_win = {}
         for a, letter in enumerate(system.alphabet):
             r = estimate_order_prob(
-                system, base_vertex, q, Jump(tau), Win(letter),
+                system, base_vertex, q, JumpCoord(letter, tau), Win(letter),
                 trials, seed + 1 + a, max_steps=10**4, strict=True,
             )
             jump_vs_win[letter] = {

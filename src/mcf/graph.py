@@ -209,17 +209,6 @@ class SimplicialSystem:
         )
 
 
-def validate_system(system):
-    """Summarize a system's shape; construction already enforced invariants."""
-    return {
-        "valid": True,
-        "alphabet": list(system.alphabet),
-        "vertices": len(system.vertices),
-        "edges": len(system.edges),
-        "holes": list(system.holes),
-    }
-
-
 def degenerate_subgraph(system, labels):
     """Keep, at each vertex, only the out-edges labeled in ``labels`` when any
     exist, and all out-edges otherwise."""

@@ -190,6 +190,11 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
     """
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(rng)
+    return _walk(system, vertex, q0, stops, rng, max_steps, len(stops))
+
+
+def _walk(system, vertex, q0, stops, rng, max_steps, until):
+    """``sample_walk`` that ends once ``until`` of the stops have fired."""
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
         raise GraphError("q0 must be positive")
@@ -204,7 +209,7 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
             if j not in fired_at and s.fires(walks, index)[0]:
                 fired_at[j] = len(path)
         out = system.out_edges(cur)
-        if len(fired_at) == len(stops) or len(path) >= max_steps or not out:
+        if len(fired_at) >= until or len(path) >= max_steps or not out:
             break
         law = edge_law(system, cur, q)
         u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
@@ -220,7 +225,7 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
         q = tuple(system.act(chosen, [list(q)])[0])
         cur = system.edges[chosen].dst
         path.append(chosen)
-    truncated = len(fired_at) < len(stops)
+    truncated = len(fired_at) < until
     return WalkOutcome(path, q, fired_at, truncated, len(path))
 
 
@@ -239,8 +244,8 @@ def estimate_order_prob(
     """Monte Carlo frequency of {A fires no later than B} (or strictly before).
 
     The exact engine ("exact") derives per-trial substreams from (seed, trial
-    index); the batch engine ("batch") consumes one stream per call and stops
-    each walk once its order is decided, on the step where A or B first
+    index); the batch engine ("batch") consumes one stream per call.  Both
+    stop each walk once its order is decided, on the step where A or B first
     fires (both are evaluated on that step, so a tie still counts).
     ``truncated`` counts the walks whose order is undecided at max_steps:
     neither stop fired, by then or before the walk entered a hole.
@@ -256,7 +261,7 @@ def estimate_order_prob(
     elif engine == "exact":
         a, b = np.full((2, trials), -1, dtype=np.int64)
         for t in range(trials):
-            out = sample_walk(system, vertex, q0, stops, make_rng(seed, t), max_steps)
+            out = _walk(system, vertex, q0, stops, make_rng(seed, t), max_steps, 1)
             a[t] = out.fired_at.get(0, -1)
             b[t] = out.fired_at.get(1, -1)
     else:

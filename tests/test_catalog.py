@@ -34,6 +34,10 @@ def test_build_rejects_unknown_name_and_bad_dims():
     for name in ("brun", "selmer-restricted", "arnoux-rauzy", "arp"):
         with pytest.raises(GraphError, match="limited to 7 letters"):
             build(name, 8)
+    with pytest.raises(GraphError, match="limited to 14 letters, got 15"):
+        build("poincare", 15)
+    with pytest.raises(GraphError, match="limited to 16 letters, got 17"):
+        build("fully-subtractive", 17)
 
 
 def test_gasket_family_accepts_simplex_dimension():
@@ -93,18 +97,30 @@ def test_cassaigne_step_commutes_with_reversal():
         assert tuple(reversed(fx)) == fr
 
 
-def test_cassaigne_embed_project_round_trip():
-    c = build("cassaigne")
+@pytest.mark.parametrize("name,dim", [
+    ("gauss", 2),
+    ("fully-subtractive", 3),
+    ("poincare", 3),
+    ("brun", 3),
+    ("brun", 4),
+    ("selmer-restricted", 3),
+    ("selmer-restricted", 4),
+    ("cassaigne", 3),
+    ("arnoux-rauzy", 3),
+    ("arp", 3),
+])
+def test_embed_project_round_trip(name, dim):
+    named = build(name, dim)
     rng = make_rng(3)
     for _ in range(20):
-        x = sample_domain_point(c, rng, bits=24)
-        v, y = c.embed(x)
-        assert v == "a"
+        x = sample_domain_point(named, rng, bits=24)
+        v, y = named.embed(x)
+        assert v in named.section
         assert all(k > 0 for k in y)
-        px = c.project(v, y)
+        px = named.project(v, y)
         s, sx = sum(px), sum(x)
-        cx = c.canonical(x)
-        assert tuple(k / s for k in px) == tuple(Fraction(k, sx) for k in cx)
+        cx = named.canonical(x)
+        assert tuple(Fraction(k, s) for k in px) == tuple(Fraction(k, sx) for k in cx)
 
 
 def test_selmer_reference_and_domain():

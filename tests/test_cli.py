@@ -157,6 +157,10 @@ def test_simulate_tau_reports_every_letter(runner):
     assert sorted(d["jump_before_win"]) == ["1", "2", "3"]
     assert all(v["bound"] == 0.5 for v in d["jump_before_win"].values())
     assert all(v["truncated"] == 0 for v in d["jump_before_win"].values())
+    # each letter's own coordinate jumps before it wins at most 1/tau of the
+    # time (criterion 4), up to sampling error
+    assert all(v["frequency"] <= v["bound"] + 3 * v["stderr"]
+               for v in d["jump_before_win"].values())
 
 
 @pytest.mark.parametrize("args", [["--tau", "0"], ["--trials", "0", "--tau", "2"],
@@ -222,6 +226,7 @@ def test_pressure_out_of_range_is_exit_2(runner, args):
 @pytest.mark.parametrize("args", [
     ["pressure", "--catalog", "brun", "--dim", "3", "--L", "40", "--n", "1"],
     ["criterion", "--catalog", "brun", "--dim", "17"],
+    ["validate", "--catalog", "poincare", "--dim", "15"],
 ])
 def test_size_guards_exit_2_without_building_everything(args):
     # In a child process, so that a guard that waits for the whole alphabet

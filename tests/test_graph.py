@@ -10,7 +10,6 @@ from mcf.graph import (
     degenerate_subgraph,
     find_positive_path,
     strongly_connected_components,
-    validate_system,
 )
 
 
@@ -21,7 +20,6 @@ def gauss():
 def test_construction_and_shape():
     s = gauss()
     assert s.dim == 2
-    assert validate_system(s)["valid"]
     assert s.out_labels("v") == ("1", "2")
     assert not s.is_hole("v")
 

@@ -335,6 +335,24 @@ def test_order_walks_stop_once_their_order_is_decided(monkeypatch):
     assert r["truncated"] == 0
 
 
+def test_exact_order_walks_stop_once_their_order_is_decided(monkeypatch):
+    # as above: one q-law draw decides every walk
+    calls = []
+    law = stochastic.edge_law
+
+    def counted(*args):
+        calls.append(1)
+        return law(*args)
+
+    monkeypatch.setattr(stochastic, "edge_law", counted)
+    s = brun3()
+    r = estimate_order_prob(s, s.vertices[0], (7, 2, 9), JumpCoord("1", 2),
+                            Win("1"), 200, 3, max_steps=10**4, strict=True,
+                            engine="exact")
+    assert len(calls) == 200
+    assert r["truncated"] == 0
+
+
 @pytest.mark.parametrize("engine", ["batch", "exact"])
 def test_truncated_counts_the_undecided_walks(engine):
     s = brun3()
