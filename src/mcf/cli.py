@@ -168,7 +168,10 @@ def validate(graph, catalog_name, dim, out, fmt):
 def criterion(graph, catalog_name, dim, out, fmt, strict):
     """Decide the graph-theoretic non-degeneracy criterion."""
     system, _, source = _load_system(graph, catalog_name, dim)
-    report = check_non_degenerating(system)
+    try:
+        report = check_non_degenerating(system)
+    except GraphError as exc:
+        raise DomainFailure(str(exc))
     payload = _base("criterion", source=source, strict=strict)
     payload.update(report.to_dict())
     _emit(payload, out, fmt)
@@ -383,17 +386,11 @@ def pressure(graph, catalog_name, dim, max_length, n_orbits, out, strict):
 @click.option("--strict", is_flag=True)
 def dimension(graph, catalog_name, dim, max_length, n_orbits, out, strict):
     """Dimension bound for the surviving set of a restricted subgraph."""
-    if graph:
-        system, named, source = _load_system(graph, None, None)
-        allowed = None
-    else:
-        _, named, source = _load_system(None, catalog_name, dim)
-        system = named.system
-        exits = set(named.meta.get("exit_edges", ()))
-        allowed = (
-            [i for i in range(len(system.edges)) if i not in exits]
-            if exits else None
-        )
+    system, named, source = _load_system(graph, catalog_name, dim)
+    exits = set(named.meta.get("exit_edges", ())) if named is not None else set()
+    allowed = (
+        [i for i in range(len(system.edges)) if i not in exits] if exits else None
+    )
     payload = _pressure_payload("dimension", system, source, max_length,
                                 n_orbits, allowed, strict)
     kappa = payload["kappa"]

@@ -209,6 +209,17 @@ class SimplicialSystem:
         )
 
 
+def _marked(system, mask):
+    """Per vertex, the ``table`` entries whose label bit is in ``mask``, and
+    the entries the vertex keeps: the marked ones if any exist, otherwise
+    all of them."""
+    marked, kept = {}, {}
+    for v, out in system.table.items():
+        marked[v] = [entry for entry in out if mask >> entry[1] & 1]
+        kept[v] = marked[v] or out
+    return marked, kept
+
+
 def degenerate_subgraph(system, labels):
     """Keep, at each vertex, only the out-edges labeled in ``labels`` when any
     exist, and all out-edges otherwise."""
@@ -216,13 +227,59 @@ def degenerate_subgraph(system, labels):
     unknown = labels - set(system.alphabet)
     if unknown:
         raise GraphError(f"labels not in alphabet: {sorted(unknown)}")
-    kept = []
-    for v in system.vertices:
-        marked = [i for i in system.out[v] if system.edges[i].label in labels]
-        kept.extend(marked if marked else system.out[v])
+    _, kept = _marked(system, sum(1 << system.label_index[l] for l in labels))
+    edges = sorted(entry[0] for out in kept.values() for entry in out)
     return SimplicialSystem(
-        system.alphabet, system.vertices, [system.edges[i] for i in sorted(kept)]
+        system.alphabet, system.vertices, [system.edges[i] for i in edges]
     )
+
+
+def _components(system, out):
+    """Tarjan components of the graph whose out-edges at a vertex are the
+    ``table`` entries ``out[v]``, visited in vertex and then entry order.
+
+    Returns the components in reverse topological order and the component
+    index of every vertex.
+    """
+    index, low, comp_of = {}, {}, {}
+    on_stack = set()
+    stack = []
+    comps = []
+    for root in system.vertices:
+        if root in index:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = len(index)
+                stack.append(v)
+                on_stack.add(v)
+            entries = out[v]
+            for k in range(pi, len(entries)):
+                w = entries[k][2]
+                if w not in index:
+                    work[-1] = (v, k + 1)
+                    work.append((w, 0))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return comps, comp_of
 
 
 def strongly_connected_components(system):
@@ -231,65 +288,20 @@ def strongly_connected_components(system):
     Returns a list of records ``{vertices, edge_bearing, height}`` where
     ``height`` is the longest condensation path from the component into a sink.
     """
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comp_of = {}
-    comps = []
-    counter = iter(range(len(system.vertices) + 1))
-
-    for root in system.vertices:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            out = system.out[v]
-            for k in range(pi, len(out)):
-                w = system.edges[out[k]].dst
-                if w not in index:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
+    comps, comp_of = _components(system, system.table)
     records = []
-    heights = [0] * len(comps)
-    bearing = [False] * len(comps)
-    # Tarjan emits components in reverse topological order, so processing
-    # edges by ascending source-component index sees final target heights.
-    for e in sorted(system.edges, key=lambda e: comp_of[e.src]):
-        ci, cj = comp_of[e.src], comp_of[e.dst]
-        if ci == cj:
-            bearing[ci] = True
-        else:
-            heights[ci] = max(heights[ci], heights[cj] + 1)
-    for comp, h, b in zip(comps, heights, bearing):
-        records.append({"vertices": comp, "edge_bearing": b, "height": h})
+    # Components come in reverse topological order, so an edge to another
+    # component meets that component's final height.
+    for ci, comp in enumerate(comps):
+        height, bearing = 0, False
+        for v in comp:
+            for entry in system.table[v]:
+                cj = comp_of[entry[2]]
+                if cj == ci:
+                    bearing = True
+                else:
+                    height = max(height, records[cj]["height"] + 1)
+        records.append({"vertices": comp, "edge_bearing": bearing, "height": height})
     return records
 
 
@@ -311,53 +323,43 @@ class CriterionReport:
 
 def _full_label_reachable(system, start):
     """Whether some path from ``start`` carries every letter of the alphabet."""
-    n = system.dim
-    full = (1 << n) - 1
+    full = (1 << system.dim) - 1
     seen = {(start, 0)}
     frontier = [(start, 0)]
     while frontier:
         nxt = []
         for v, mask in frontier:
-            for i in system.out[v]:
-                e = system.edges[i]
-                m2 = mask | (1 << system.label_index[e.label])
+            for entry in system.table[v]:
+                m2 = mask | 1 << entry[1]
                 if m2 == full:
                     return True
-                s = (e.dst, m2)
+                s = (entry[2], m2)
                 if s not in seen:
                     seen.add(s)
                     nxt.append(s)
         frontier = nxt
-    return n == 0
+    return False
 
 
-def _escapes_along_labels(system, component, labels):
-    """Whether every vertex of ``component`` has a path of ``labels``-labeled
-    edges of the full graph that leaves the component."""
-    comp = set(component)
-    for start in component:
-        seen = {start}
-        frontier = [start]
-        escaped = False
-        while frontier and not escaped:
-            nxt = []
-            for v in frontier:
-                for i in system.out[v]:
-                    e = system.edges[i]
-                    if e.label not in labels:
-                        continue
-                    if e.dst not in comp:
-                        escaped = True
-                        break
-                    if e.dst not in seen:
-                        seen.add(e.dst)
-                        nxt.append(e.dst)
-                if escaped:
-                    break
-            frontier = nxt
-        if not escaped:
-            return False
-    return True
+def _all_escape(comp, ci, comp_of, marked):
+    """Whether every vertex of component ``ci`` has a path of marked edges
+    inside it whose last edge leaves it: one backward search from the
+    vertices with a marked edge out of the component."""
+    into = {v: [] for v in comp}
+    seen = set()
+    for v in comp:
+        for entry in marked[v]:
+            if comp_of[entry[2]] == ci:
+                into[entry[2]].append(v)
+            else:
+                seen.add(v)
+    frontier = list(seen)
+    while frontier:
+        for v in into[frontier.pop()]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return len(seen) == len(comp)
 
 
 def check_non_degenerating(system):
@@ -367,50 +369,42 @@ def check_non_degenerating(system):
     and for every proper nonempty label subset, every edge-bearing strongly
     connected component of the marked subgraph must either use at most one
     subset letter per vertex or let every component vertex escape along
-    subset-labeled edges.  Holes fail the criterion outright.
+    subset-labeled edges.  Holes fail the criterion outright.  Both clauses
+    read the system's out-edge ``table``; vertices of one component of the
+    full graph share their answer to the first.
     """
     if system.dim > MAX_CRITERION_ALPHABET:
         raise GraphError(
             f"criterion check limited to alphabets of size "
             f"{MAX_CRITERION_ALPHABET}, got {system.dim}"
         )
-    report = CriterionReport(passes=True, holes=list(system.holes))
-    if system.holes:
-        report.passes = False
+    comps, comp_of = _components(system, system.table)
+    full = [_full_label_reachable(system, comp[0]) for comp in comps]
+    unreached = [v for v in system.vertices
+                 if not system.is_hole(v) and not full[comp_of[v]]]
 
-    for v in system.vertices:
-        if system.is_hole(v):
-            continue
-        if not _full_label_reachable(system, v):
-            report.passes = False
-            report.reachability_failures.append(v)
-
+    failures = []
     n = system.dim
     for mask in range(1, (1 << n) - 1):
-        labels = {system.alphabet[i] for i in range(n) if mask >> i & 1}
-        sub = degenerate_subgraph(system, labels)
-        for rec in strongly_connected_components(sub):
-            if not rec["edge_bearing"]:
-                continue
-            comp = rec["vertices"]
-            branching = [
-                v
-                for v in comp
-                if len(set(system.out_labels(v)) & labels) > 1
-            ]
-            if not branching:
-                continue
-            if _escapes_along_labels(system, comp, labels):
-                continue
-            report.passes = False
-            report.scc_failures.append(
-                {
-                    "labels": sorted(labels),
+        marked, kept = _marked(system, mask)
+        comps, comp_of = _components(system, kept)
+        labels = sorted(system.alphabet[i] for i in range(n) if mask >> i & 1)
+        for ci, comp in enumerate(comps):
+            # A branching vertex keeps only its marked edges, so in a
+            # component without inner edges it escapes at once.
+            branching = [v for v in comp if len(marked[v]) > 1]
+            if branching and not _all_escape(comp, ci, comp_of, marked):
+                failures.append({
+                    "labels": list(labels),
                     "component": sorted(comp),
                     "branching_vertices": sorted(branching),
-                }
-            )
-    return report
+                })
+    return CriterionReport(
+        passes=not (system.holes or unreached or failures),
+        reachability_failures=unreached,
+        scc_failures=failures,
+        holes=list(system.holes),
+    )
 
 
 def find_positive_path(system, start=None, max_length=64, allowed_edges=None):

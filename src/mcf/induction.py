@@ -192,18 +192,21 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     """First-return step of the induction accelerated on a cylinder path.
 
     ``gamma_star`` is a loop of edge indices at ``vertex`` whose cylinder
-    contains ``point``.  Steps forward until the coding shows the next aligned
-    occurrence of ``gamma_star`` (greedy parse: the first occurrence starting
-    at an index at least its length), and returns
+    contains ``point``.  Steps forward until the edge path shows the next
+    aligned occurrence of ``gamma_star`` (greedy parse: the first occurrence
+    starting at an index at least its length), and returns
     ``(new_point, return_word_labels, norm_ratio)`` where ``norm_ratio`` is
-    the exact accelerated-roof rational of the consumed path.
+    the exact accelerated-roof rational of the consumed path.  Returns are
+    matched on edges, as the letters of ``thermo.build_induced_alphabet``
+    exclude ``gamma_star`` as an edge factor, so every return is a loop at
+    ``vertex``.
 
     The walk is one pass on an integer vector.  The return point is the state
     before the trailing ``gamma_star`` block, so the last m+1 states are kept;
     the ratios of the steps telescope to the ratio of its mass to the start's.
     """
     m = len(gamma_star)
-    star = [system.edges[i].label for i in gamma_star]
+    star = list(gamma_star)
     if not in_cylinder(system, gamma_star, point):
         raise GraphError("point is not in the inducing cylinder")
     table = system.table
@@ -215,12 +218,12 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     for _ in range(max_steps):
         entry = _advance(table, v, cur, total)
         v = entry[2]
-        coding.append(entry[3])
+        coding.append(entry[0])
         total = _mass(cur)
         states.append((tuple(cur), total))
         if len(coding) >= 2 * m and coding[-m:] == star:
             back, left = states[0]
-            word = tuple(coding[m:-m])
+            word = system.path_labels(coding[m:-m])
             return tuple(Fraction(c, left) for c in back), word, Fraction(left, start)
     raise MaxStepsExceeded(f"no return within {max_steps} steps")
 

@@ -30,7 +30,12 @@ def make_rng(seed, stream=None):
 
 
 def sample_simplex_integers(rng, n, bits=62, max_tries=1000):
-    """Uniform composition of 2**bits into n positive parts (gap method)."""
+    """Uniform composition of 2**bits into n positive parts (gap method).
+
+    The cuts are drawn as int64, so ``bits`` runs from 1 to 63.
+    """
+    if not 1 <= bits <= 63:
+        raise GraphError(f"bits must be in 1..63, got {bits}")
     hi = 1 << bits
     for _ in range(max_tries):
         cuts = sorted(int(c) for c in rng.integers(1, hi, size=n - 1))
@@ -476,10 +481,12 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     """Coding of uniformly sampled simplex points, exact and vectorized.
 
     Points are integer compositions of 2**bits; the subtractive update only
-    ever decreases coordinates so int64 arithmetic stays exact.  Trials that
-    hit a tie are marked with -2 from the tie step onward, and trials in a
-    hole with -1.
+    ever decreases coordinates so int64 arithmetic stays exact; 2**bits must
+    fit in int64, so ``bits`` runs from 1 to 62.  Trials that hit a tie are
+    marked with -2 from the tie step onward, and trials in a hole with -1.
     """
+    if not 1 <= bits <= 62:
+        raise GraphError(f"bits must be in 1..62, got {bits}")
     rng = make_rng(seed)
     hi = 1 << bits
     n = system.dim

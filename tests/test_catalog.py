@@ -182,6 +182,11 @@ def test_conjugacy_exact(name, dim):
     assert r["tie_rate"] < 0.2
 
 
+def test_conjugacy_rejects_points_beyond_int64_cuts():
+    with pytest.raises(GraphError, match="bits must be in 1..63"):
+        conjugacy_check(build("brun", 3), trials=2, steps=2, bits=80)
+
+
 @pytest.mark.parametrize("a, b, equal", [
     ((1, 2, 3), (2, 4, 6), True),
     ((0, 1, 2), (0, 3, 6), True),

@@ -71,6 +71,27 @@ def test_strict_criterion_failure_is_exit_3(runner):
     assert r.exit_code == 3
 
 
+def test_criterion_on_a_too_large_graph_file_is_exit_2(runner, tmp_path):
+    letters = [str(i) for i in range(1, 18)]
+    graph = {"alphabet": letters, "vertices": ["v"],
+             "edges": [{"from": "v", "to": "v", "label": a} for a in letters]}
+    f = tmp_path / "g17.json"
+    f.write_text(json.dumps(graph))
+    r = invoke(runner, "criterion", "--graph", str(f))
+    assert r.exit_code == 2
+    assert "limited to alphabets of size 16, got 17" in r.output
+
+
+def test_dimension_rejects_graph_and_catalog_together(runner, tmp_path):
+    r = invoke(runner, "validate", "--catalog", "gauss")
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(json.loads(r.output)["graph"]))
+    r = invoke(runner, "dimension", "--graph", str(f), "--catalog", "brun",
+               "--dim", "3", "--L", "4")
+    assert r.exit_code == 2
+    assert "not both" in r.output
+
+
 def test_walk_jsonl_trace(runner):
     r = invoke(
         runner, "walk", "--catalog", "cassaigne", "--point", "3/6,2/6,1/6",

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from mcf.catalog import build
+from mcf.catalog import NAMES, build
 from mcf.graph import (
+    CriterionReport,
     GraphError,
     SimplicialSystem,
     check_non_degenerating,
@@ -135,6 +138,106 @@ def test_criterion_single_vertex_three_loops_fails():
     w = rep.scc_failures[0]
     assert set(w["labels"]) < {"1", "2", "3"}
     assert w["component"] == ["v"]
+
+
+def reference_criterion(system):
+    """The criterion rebuilt from its definition: a marked subgraph per label
+    subset, and a forward search per vertex for each clause."""
+    def reaches_every_letter(start):
+        full = (1 << system.dim) - 1
+        seen, frontier = set(), [(start, 0)]
+        while frontier:
+            v, mask = frontier.pop()
+            for i in system.out_edges(v):
+                e = system.edges[i]
+                state = (e.dst, mask | 1 << system.label_index[e.label])
+                if state[1] == full:
+                    return True
+                if state not in seen:
+                    seen.add(state)
+                    frontier.append(state)
+        return False
+
+    def escapes(start, comp, labels):
+        seen, frontier = {start}, [start]
+        while frontier:
+            for i in system.out_edges(frontier.pop()):
+                e = system.edges[i]
+                if e.label not in labels:
+                    continue
+                if e.dst not in comp:
+                    return True
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    frontier.append(e.dst)
+        return False
+
+    unreached = [v for v in system.vertices
+                 if not system.is_hole(v) and not reaches_every_letter(v)]
+    failures = []
+    n = system.dim
+    for mask in range(1, (1 << n) - 1):
+        labels = {system.alphabet[i] for i in range(n) if mask >> i & 1}
+        for rec in strongly_connected_components(degenerate_subgraph(system, labels)):
+            comp = rec["vertices"]
+            branching = [v for v in comp
+                         if len(set(system.out_labels(v)) & labels) > 1]
+            if (rec["edge_bearing"] and branching
+                    and not all(escapes(v, set(comp), labels) for v in comp)):
+                failures.append({"labels": sorted(labels),
+                                 "component": sorted(comp),
+                                 "branching_vertices": sorted(branching)})
+    return CriterionReport(not (system.holes or unreached or failures),
+                           unreached, failures, list(system.holes))
+
+
+def random_system(rng):
+    n = rng.randint(2, 4)
+    alphabet = [str(a) for a in range(1, n + 1)]
+    vertices = [f"v{k}" for k in range(rng.randint(1, 7))]
+    edges = [(v, rng.choice(vertices), a)
+             for v in vertices if rng.random() > 0.15  # else a hole
+             for a in alphabet if rng.random() < 0.6]
+    rng.shuffle(edges)
+    return SimplicialSystem(alphabet, vertices, edges)
+
+
+def oracle_systems():
+    for name in NAMES:
+        for dim in (2, 3, 4, 5):
+            try:
+                yield build(name, dim).system
+            except GraphError:
+                pass  # not listed at this size
+    # ten letters: alphabet order is not sorted order
+    yield build("fully-subtractive", 10).system
+    rng = random.Random(2024)
+    for _ in range(240):
+        yield random_system(rng)
+
+
+def test_criterion_matches_its_definition_without_building_graphs(monkeypatch):
+    systems = list(oracle_systems())
+    expected = [reference_criterion(s).to_dict() for s in systems]
+    # Tarjan visits vertices in order and out-edges in label order, which
+    # fixes the order of the witnesses; the digest pins it.
+    digest = hashlib.sha256(json.dumps(expected).encode()).hexdigest()
+    assert digest == ("6ca86e251812a21293dc8425c06e2056"
+                      "08a058c9b91848809db82eca4d371cfa")
+    assert any(e["scc_failures"] for e in expected)
+    assert any(e["reachability_failures"] for e in expected)
+    assert any(e["holes"] for e in expected)
+    built = []
+    init = SimplicialSystem.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplicialSystem, "__init__", counting_init)
+    for s, e in zip(systems, expected):
+        assert check_non_degenerating(s).to_dict() == e
+    assert built == []
 
 
 def test_positive_path_is_positive():

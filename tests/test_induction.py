@@ -20,6 +20,7 @@ from mcf.induction import (
     path_norm_ratio,
     step,
 )
+from mcf.thermo import build_induced_alphabet
 
 
 def gauss():
@@ -144,12 +145,36 @@ def test_induced_step_equals_a_replay(name, dim):
             point, word, ratio = induced_step(s, base, y, gamma)
         except BoundaryTieError:
             continue
-        # returns are detected on labels, so the walk need not be back at base
-        _, p, records = orbit(s, base, y, len(gamma) + len(word))
-        assert p == point
+        # returns are detected on edges, so the walk is back at base
+        v, p, records = orbit(s, base, y, len(gamma) + len(word))
+        assert (v, p) == (base, point)
         assert ratio == path_norm_ratio(s, [r.edge for r in records], y)
         assert ratio == math.prod(r.norm_ratio for r in records)
         checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize("name", ["brun", "selmer-restricted"])
+def test_every_short_return_word_is_a_letter(name):
+    # the induced step and the induced alphabet agree on what a return is
+    s = build(name, 3).system
+    gamma = find_positive_path(s)
+    base = s.edges[gamma[0]].src
+    m_gamma = s.path_matrix(gamma)
+    max_length = 12
+    letters = {l.word_labels for l in build_induced_alphabet(s, gamma, max_length)}
+    # deep points: at 62 bits most returns end in a tie
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        y = mat_vec(m_gamma, tuple(rng.getrandbits(400) + 1 for _ in range(3)))
+        try:
+            _, word, _ = induced_step(s, base, y, gamma)
+        except BoundaryTieError:
+            continue
+        if len(word) <= max_length:
+            assert word in letters
+            checked += 1
     assert checked >= 10
 
 

@@ -55,6 +55,14 @@ def test_simplex_integers_sum_and_positivity():
         assert all(p > 0 for p in parts)
 
 
+def test_simplex_integers_bits_stay_in_int64_cuts():
+    rng = make_rng(0)
+    assert sum(sample_simplex_integers(rng, 3, bits=63)) == 1 << 63
+    for bits in (0, 64, 80):
+        with pytest.raises(GraphError, match="bits must be in 1..63"):
+            sample_simplex_integers(rng, 3, bits=bits)
+
+
 def test_simplex_point_is_exact_dyadic():
     rng = make_rng(1)
     x = sample_simplex_point(rng, 3, bits=16)
@@ -236,6 +244,15 @@ def test_batch_code_points_marks_ties_not_codes():
             if c == -2:
                 seen = True
             assert not (seen and c != -2)
+
+
+def test_batch_code_points_bits_stay_in_int64():
+    # 2**63 itself does not fit in int64: the points would turn float64
+    s = brun3()
+    assert batch_code_points(s, s.vertices[0], 3, 4, 1, bits=62).dtype == np.int64
+    for bits in (0, 63, 64):
+        with pytest.raises(GraphError, match="bits must be in 1..62"):
+            batch_code_points(s, s.vertices[0], 3, 4, 1, bits=bits)
 
 
 def test_batch_code_points_matches_exact_coding():
