@@ -619,6 +619,8 @@ def conjugacy_check(named, trials=100, steps=20, seed=0, bits=62):
     """
     import numpy as np
 
+    if not 0 <= seed < 1 << 128:
+        raise GraphError(f"seed must be in 0..2**128-1, got {seed}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     agreements = 0
     ties = 0

@@ -197,9 +197,15 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
     """Random q-walks: losing-letter coverage and optional jump-vs-win rates."""
     system, _, source = _load_system(graph, catalog_name, dim)
     seed = _resolve_seed(seed)
+    if tau is not None and seed + system.dim >= 1 << 64:
+        raise DomainFailure(f"--tau walks letter a with seed {seed} + 1 + a, "
+                            "which must stay below 2**64")
     base_vertex = system.vertices[0]
     q = _parse_point(q0, system.dim) if q0 else tuple([1] * system.dim)
-    rec = batch_record_paths(system, base_vertex, q, n_steps, trials, seed)
+    try:
+        rec = batch_record_paths(system, base_vertex, q, n_steps, trials, seed)
+    except GraphError as exc:
+        raise DomainFailure(str(exc))
     losses = np.zeros((trials, system.dim), dtype=bool)
     for a in range(system.dim):
         losses[:, a] = (rec == a).any(axis=1)
@@ -338,7 +344,10 @@ def conjugacy(graph, catalog_name, dim, seed, trials, n_steps, out, strict):
                             "reference map is part of the catalog entry)")
     _, named, source = _load_system(None, catalog_name, dim)
     seed = _resolve_seed(seed)
-    result = conjugacy_check(named, trials=trials, steps=n_steps, seed=seed)
+    try:
+        result = conjugacy_check(named, trials=trials, steps=n_steps, seed=seed)
+    except GraphError as exc:
+        raise DomainFailure(str(exc))
     payload = _base("conjugacy", source=source, seed=seed, trials=trials,
                     n=n_steps, strict=strict)
     payload.update(result)

@@ -21,8 +21,16 @@ from .graph import GraphError
 
 
 def make_rng(seed, stream=None):
-    """Counter-based generator; ``stream`` selects a per-trial substream."""
-    key = [int(seed), 0 if stream is None else int(stream)]
+    """Counter-based generator; ``stream`` selects a per-trial substream.
+
+    ``seed`` is one 64-bit word of the Philox key, so it runs from 0 to
+    2**64 - 1.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise GraphError(f"seed must be in 0..2**64-1, got {seed}")
+    # a list of Python ints would pass through float64 from 2**63 on
+    key = np.array([seed, 0 if stream is None else int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -114,7 +122,8 @@ class Walks(NamedTuple):
     alphabet.  ``loser`` is the label index of the last loser, -1 before the
     first step.  ``present`` holds the label indices that competed at the
     last source vertex, padded with indices past the alphabet, and has no
-    columns before the first step.
+    columns before the first step.  ``step`` counts the steps taken: one
+    int for every lane, or an array with one count per lane.
     """
 
     q: np.ndarray
@@ -125,7 +134,15 @@ class Walks(NamedTuple):
 
 
 class StoppingTime:
-    """Rule on walk states, evaluated at step 0 and after every step."""
+    """Rule on walk states, evaluated at step 0 and after every step.
+
+    A stop must be monotone along a self-loop run: while one self-loop keeps
+    losing, the loser and ``present`` stay fixed and only the loser's
+    coordinate and the step grow, and a stop that fires at some step of the
+    run must fire at every later one.  The batch firing engine draws a run in
+    one go and finds the first firing step inside it by bisection.  Every
+    stop below holds this.
+    """
 
     def fires(self, walks, index):
         """Boolean array over the lanes of ``walks``; ``index`` maps labels
@@ -173,7 +190,7 @@ class StepCount(StoppingTime):
     n: int
 
     def fires(self, walks, index):
-        return np.full(len(walks.loser), walks.step >= self.n)
+        return np.broadcast_to(walks.step >= self.n, walks.loser.shape)
 
 
 @dataclass
@@ -299,9 +316,21 @@ def estimate_order_prob(
 # has, since the order is decided then.  Each lane carries its pending-stop
 # mask, so a step that fires nothing writes nothing and compacts nothing.
 
-# Rescale q at least this often: a step multiplies max(q) by at most the
-# out-degree, so 64 steps stay inside the float range below out-degree 2**15.
-_RESCALE_EVERY = 64
+# A self-loop run of K further losses adds K S to q_e' (see ``_RunDraw``).
+# S <= q_e', and K S < 2**53 q_e' since the uniform of the inverse-CDF draw is
+# at most 1 - 2**-53, so a run multiplies q_e' by at most 1 + min(K, 2**53).
+_RUN_CAP = 2**53
+
+
+def _rescale_every(width, run_growth):
+    """Steps between rescales of q that keep max(q) below 2**960.
+
+    A step multiplies max(q) by at most the out-degree ``width``, and by
+    ``run_growth`` more when it draws a self-loop run.  At most 64 steps, the
+    count at out-degree 2**15 without runs.
+    """
+    return max(1, int(960 // max(15, math.log2(width * run_growth))))
+
 
 # Value of the spare column in the exact engine: never the minimum.
 _NEVER_MIN = np.iinfo(np.int64).max
@@ -402,6 +431,91 @@ def _exact_min(x, labels, rows):
     return slot
 
 
+class _RunDraw:
+    """Chooser of the q-law that draws each self-loop run in one go.
+
+    When the loser's edge is a self-loop, the lane stays put and only the
+    loser's coordinate grows.  With q_e' its value after the loss and S the
+    sum of the other competing coordinates, e keeps losing for k more steps
+    with probability q_e' / (q_e' + k S), so one uniform gives the run length
+    K by inverse CDF.  K is clipped at the lane's remaining steps, q_e
+    becomes q_e' + K S and the lane's step count grows by 1 + K.  The run
+    ends where e does not lose, so the lane's next draw excludes e.  The
+    chooser gives ``lanes`` these two arrays, ``step`` and ``excluded``;
+    ``start``, ``gap`` and ``run`` keep q_e', S and K of the last draw, for
+    finding first firing steps inside the runs.
+    """
+
+    def __init__(self, rng, loop, lanes, max_steps):
+        self.rng, self.loop, self.lanes = rng, loop, lanes
+        self.max_steps = max_steps
+        self.spare = lanes.vals.shape[1] - 1
+        lanes.step = np.zeros(len(lanes.trial), dtype=np.int64)
+        lanes.excluded = np.full(len(lanes.trial), self.spare)
+        self.start = self.gap = np.zeros(len(lanes.trial))
+        self.run = lanes.step.copy()
+
+    def __call__(self, q, labels, rows):
+        lanes = self.lanes
+        w = q[rows[:, None], labels]
+        total = w.sum(axis=1)
+        w[labels == lanes.excluded[:, None]] = 0
+        cum = np.cumsum(w, axis=1)
+        u, v = self.rng.random((2, len(rows)))
+        # zero weights are passed over, since u stays below their total
+        slot = (u[:, None] * cum[:, -1:] >= cum[:, :-1]).sum(axis=1)
+        loser = labels[rows, slot]
+        gap = total - w[rows, slot]
+        # S = 0 leaves nothing else to lose: the run lasts to the cap
+        k = np.divide(total * v, gap * (1 - v), out=np.full(len(rows), np.inf),
+                      where=gap > 0)
+        left = self.max_steps - 1 - lanes.step
+        loop = self.loop[lanes.vertex, slot]
+        run = np.where(loop, np.minimum(k, left), 0).astype(np.int64)
+        q[rows, loser] = total + run * gap
+        lanes.step += 1 + run
+        lanes.excluded = np.where(loop, loser, self.spare)
+        self.start, self.gap, self.run = total, gap, run
+        return slot
+
+    def rescale(self, e):
+        """Scale ``start`` and ``gap`` with q, by 2**e per lane."""
+        self.start, self.gap = np.ldexp(self.start, e), np.ldexp(self.gap, e)
+
+    def first_fire(self, stop, walks, index, hit):
+        """Step at which ``stop`` first fired on each ``hit`` lane.
+
+        The stop fires at the end of the lane's last draw.  On a run it is
+        monotone, so it fires from some offset of the run on: offset 0, the
+        state after the first loss, else one found by bisection.
+        """
+        idx = np.flatnonzero(hit)
+        at = walks.step[idx]
+        ran = np.flatnonzero(self.run[idx] > 0)
+        if ran.size:
+            rows = idx[ran]
+            k = self.run[rows]
+            first = np.zeros_like(k)
+            late = np.flatnonzero(~stop.fires(self._state(walks, rows, first), index))
+            lo, hi = first[late], k[late]
+            while (hi - lo > 1).any():
+                mid = (lo + hi) // 2
+                f = stop.fires(self._state(walks, rows[late], mid), index)
+                lo, hi = np.where(f, lo, mid), np.where(f, mid, hi)
+            first[late] = hi
+            at[ran] += first - k
+        return at
+
+    def _state(self, walks, rows, offset):
+        """Walk states of the lanes in ``rows``, ``offset`` steps into their
+        last run."""
+        q = walks.q[rows]
+        q[np.arange(len(rows)), walks.loser[rows]] = (
+            self.start[rows] + offset * self.gap[rows])
+        return Walks(q, walks.q0[rows], walks.loser[rows], walks.present[rows],
+                     walks.step[rows] - self.run[rows] + offset)
+
+
 def _halvings(q):
     """Per-lane power of two that brings max(q) into [1/2, 1), exactly."""
     return -np.frexp(q.max(axis=1))[1][:, None]
@@ -418,12 +532,21 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
     """First firing step of each stop for each trial, -1 where it did not
     fire.  A lane walks while ``live(pending, axis=1)`` holds for its row of
     pending stops: ``np.any`` walks it until every stop has fired,
-    ``np.all`` until the first one has."""
+    ``np.all`` until the first one has.  On a system with self-loops each
+    engine step draws a whole run, and each lane counts its own steps."""
+    # step counts are int64, and no walk takes 2**62 steps one at a time
+    max_steps = min(max_steps, 2**62)
     table = _padded_table(system)
-    draw = _q_draw(make_rng(seed))
+    rng = make_rng(seed)
     lanes = _q_lanes(system, vertex, q0, trials)
     lanes.q0 = lanes.vals[:, :-1].copy()
     lanes.pending = np.ones((trials, len(stops)), dtype=bool)
+    loop = (table.target == np.arange(len(table.target))[:, None]) & (
+        table.label < system.dim)
+    runs = loop.any()
+    draw = _RunDraw(rng, loop, lanes, max_steps) if runs else _q_draw(rng)
+    every = _rescale_every(table.label.shape[1],
+                           1 + min(max_steps, _RUN_CAP) if runs else 1)
     index = system.label_index
     fired = np.full((len(stops), trials), -1, dtype=np.int64)
     loser = np.full(trials, -1)
@@ -431,18 +554,24 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
     for step in range(max_steps + 1):
         if step:
             present, loser = _step(table, lanes, draw)
-        if step % _RESCALE_EVERY == 0:
+        if step % every == 0:
             e = _halvings(lanes.vals)
             lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
-        walks = Walks(lanes.vals, lanes.q0, loser, present, step)
+            if runs:
+                draw.rescale(e[:, 0])
+        walks = Walks(lanes.vals, lanes.q0, loser, present,
+                      lanes.step if runs else step)
         some_fired = False
         for j, s in enumerate(stops):
             hit = lanes.pending[:, j] & s.fires(walks, index)
             if hit.any():
-                fired[j, lanes.trial[hit]] = step
+                at = draw.first_fire(s, walks, index, hit) if runs else step
+                fired[j, lanes.trial[hit]] = at
                 lanes.pending[hit, j] = False
                 some_fired = True
-        if some_fired:
+        if runs:
+            lanes.keep(live(lanes.pending, axis=1) & (lanes.step < max_steps))
+        elif some_fired:
             lanes.keep(live(lanes.pending, axis=1))
         if not lanes.trial.size:
             break
@@ -469,9 +598,10 @@ def batch_record_paths(system, vertex, q0, n_steps, trials, seed):
     table = _padded_table(system)
     draw = _q_draw(make_rng(seed))
     lanes = _q_lanes(system, vertex, q0, trials)
+    every = _rescale_every(table.label.shape[1], 1)
     rec = np.full((trials, n_steps), -1, dtype=np.int64)
     for step in range(n_steps):
-        if step % _RESCALE_EVERY == 0:
+        if step % every == 0:
             lanes.vals = np.ldexp(lanes.vals, _halvings(lanes.vals))
         rec[lanes.trial, step] = _step(table, lanes, draw)[1]
     return rec

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,32 @@ def test_simulate_out_of_range_is_exit_2(runner, args):
     r = runner.invoke(main, ["simulate", "--catalog", "gauss", "--seed", "1",
                              "--n", "10", *args])
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--catalog", "gauss", "--seed", str(2**64)],
+    ["simulate", "--catalog", "gauss", "--seed", "-1"],
+    # letter a of --tau walks with seed + 1 + a
+    ["simulate", "--catalog", "brun", "--dim", "3", "--seed", str(2**64 - 1),
+     "--tau", "2"],
+    ["conjugacy", "--catalog", "gauss", "--seed", "-1"],
+])
+def test_seeds_out_of_range_are_exit_2(runner, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = runner.invoke(main, [*args, "--trials", "10", "--n", "5"])
+    assert r.exit_code == 2
+    assert "seed" in r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit)
+
+
+def test_simulate_takes_the_largest_seed(runner):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = invoke(runner, "simulate", "--catalog", "gauss", "--seed",
+                   str(2**64 - 1), "--trials", "10", "--n", "5")
+    assert r.exit_code == 0
+    assert json.loads(r.output)["params"]["seed"] == 2**64 - 1
 
 
 def test_simulate_generates_and_records_seed_when_missing(runner):

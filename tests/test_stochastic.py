@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from mcf import stochastic
 from mcf.catalog import build
-from mcf.graph import GraphError, vec_mat
+from mcf.graph import GraphError, SimplicialSystem, vec_mat
 from mcf.stochastic import (
     Jump,
     JumpCoord,
     Lose,
     StepCount,
+    StoppingTime,
     Win,
     batch_code_points,
     batch_fire_steps,
@@ -39,12 +40,31 @@ def brun3():
     return build("brun", 3).system
 
 
+def trap():
+    # letters 1 and 2 are self-loops at v; letter 3 leaves v
+    return SimplicialSystem(
+        ("1", "2", "3"), ["v", "w"],
+        [("v", "v", "1"), ("v", "v", "2"), ("v", "w", "3"),
+         ("w", "v", "1"), ("w", "v", "2"), ("w", "v", "3")],
+    )
+
+
 def test_rng_reproducible_and_stream_separated():
     a = make_rng(7).integers(0, 1 << 30, size=4)
     b = make_rng(7).integers(0, 1 << 30, size=4)
     c = make_rng(7, stream=1).integers(0, 1 << 30, size=4)
     assert (a == b).all()
     assert (a != c).any()
+
+
+def test_rng_takes_every_64_bit_seed_and_no_other():
+    draws = {s: tuple(make_rng(s).integers(0, 1 << 62, size=2))
+             for s in (0, 2**63, 2**63 + 1, 2**64 - 1)}
+    # from 2**63 on, seeds once collapsed through float64 (2**64 - 1 onto 0)
+    assert len(set(draws.values())) == len(draws)
+    for seed in (-1, 2**64):
+        with pytest.raises(GraphError, match="seed must be in 0..2"):
+            make_rng(seed)
 
 
 def test_simplex_integers_sum_and_positivity():
@@ -232,6 +252,111 @@ def test_batch_record_paths_long_walks_stay_in_float_range():
     assert all((rec[:, -500:] == a).any() for a in range(3))
 
 
+class Seen(StoppingTime):
+    """Fires from step n on, as StepCount(n) does, and keeps the step and q
+    of every state the engine shows it."""
+
+    def __init__(self, n):
+        self.n, self.steps, self.q = n, [], []
+
+    def fires(self, walks, index):
+        self.steps.append(np.broadcast_to(walks.step, walks.loser.shape).copy())
+        self.q.append(walks.q.copy())
+        return StepCount(self.n).fires(walks, index)
+
+
+def _ks(x, y):
+    """Two-sample Kolmogorov-Smirnov distance of two integer samples."""
+    grid = np.union1d(x, y)
+    fx = np.searchsorted(np.sort(x), grid, side="right") / len(x)
+    fy = np.searchsorted(np.sort(y), grid, side="right") / len(y)
+    return np.abs(fx - fy).max()
+
+
+def test_fire_engine_agrees_with_the_exact_walk_on_self_loops():
+    # every gauss step is a self-loop, so the batch engine draws whole runs
+    # while the exact walk takes single steps.  KS at level 0.001 per stop;
+    # on integer-valued samples the test is conservative, so five stops
+    # raise a false alarm on at most 0.5% of seeds.
+    s = gauss()
+    stops = [JumpCoord("1", 3), Win("1"), Lose("2"), Jump(5), StepCount(6)]
+    cap, n, m = 40, 2000, 20000
+    exact = np.full((len(stops), n), cap + 1)
+    for t in range(n):
+        out = sample_walk(s, "v", (2, 3), stops, make_rng(31, t), max_steps=cap)
+        for j, step in out.fired_at.items():
+            exact[j, t] = step
+    batch = batch_fire_steps(s, "v", (2, 3), stops, m, 32, cap)
+    batch[batch < 0] = cap + 1
+    crit = math.sqrt(-math.log(0.001 / 2) / 2) * math.sqrt((n + m) / (n * m))
+    for stop, x, y in zip(stops, exact, batch):
+        assert _ks(x, y) <= crit, stop
+
+
+def test_trap_escape_agrees_with_the_exact_engine():
+    # letter 3 loses only after the self-loop runs of 1 and 2 at v end;
+    # 3 standard errors of the difference, a 0.27% false-alarm rate
+    s = trap()
+    cap = 40
+    fired = batch_fire_steps(s, "v", (4, 4, 1), [Lose("3")], 20000, 41, cap)[0]
+    freq = float((fired >= 0).mean())
+    r = estimate_order_prob(s, "v", (4, 4, 1), Lose("3"), StepCount(cap), 1000,
+                            42, max_steps=cap, engine="exact")
+    se = math.sqrt(freq * (1 - freq) / 20000 + r["stderr"] ** 2)
+    assert abs(freq - r["frequency"]) <= 3 * se
+
+
+def test_step_counts_are_exact_inside_runs():
+    s = gauss()
+    seen = Seen(10**9)
+    fired = batch_fire_steps(s, "v", (1, 1), [StepCount(37), seen], 2000, 5, 100)
+    assert (fired[0] == 37).all()
+    steps = np.concatenate(seen.steps)
+    # some runs straddle step 37: those lanes never show the engine step 37
+    assert (steps == 37).sum() < 2000
+    # a lane cut at max_steps ends exactly there, and is shown that state once
+    assert (fired[1] == -1).all()
+    assert steps.max() == 100
+    assert (steps == 100).sum() == 2000
+
+
+def test_fire_engine_long_walks_stay_in_float_range():
+    # with max_steps = 10**7 a single draw may add millions of steps, and
+    # q grows without bound: the rescaling keeps it finite and positive,
+    # and Jump(3) from (1, 1) fires at step 2 in every lane, whatever the run
+    s = gauss()
+    seen = Seen(10**5)
+    fired = batch_fire_steps(s, "v", (1, 1), [Jump(3), seen], 4, 7, 10**7)
+    assert (fired[0] == 2).all()
+    assert (fired[1] == 10**5).all()
+    q = np.concatenate(seen.q)[:, :2]
+    assert np.isfinite(q).all()
+    assert (q > 0).all()
+    assert max(k.max() for k in seen.steps) >= 10**5
+    # a cap past the int64 step counts is no cap
+    assert (batch_fire_steps(s, "v", (1, 1), [Jump(3)], 4, 7, 10**30) == 2).all()
+
+
+def test_first_fires_do_not_depend_on_the_rescale_schedule(monkeypatch):
+    # a larger max_steps lets a run grow q more, so q is rescaled more often
+    # (every 39 engine steps at 10**7, every 17 past 2**53); q stays an exact
+    # integer below 2**53 up to the thresholds, so the stops fire alike
+    s = gauss()
+    stops = [Jump(2**45), JumpCoord("1", 2**45)]
+    calls = {"_step": 0, "_halvings": 0}
+    for name in calls:
+        def counted(*args, name=name, f=getattr(stochastic, name)):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(stochastic, name, counted)
+    fired = batch_fire_steps(s, "v", (1, 1), stops, 2000, 3, 10**7)
+    assert calls["_halvings"] == calls["_step"] // 39 + 1
+    # the walk outlasts a rescale at either cap
+    assert calls["_step"] > 39
+    assert (fired == batch_fire_steps(s, "v", (1, 1), stops, 2000, 3, 10**30)).all()
+    assert (fired > 0).all()
+
+
 def test_batch_code_points_marks_ties_not_codes():
     s = gauss()
     rec = batch_code_points(s, "v", 8, 500, seed=6, bits=16)
@@ -395,7 +520,7 @@ def _digest(a):
 # batch_code_points outputs below
 PINNED = {
     ("gauss", 2): (
-        "f29696b31ab181df77e43177edfb298bdbe46d8a535a0c786d094fbe44710076",
+        "0d250b060a11a54c92b041c5874e4ea37eb6088a7ecf5f36db873654d0b45f2b",
         "0d6bd43a813128b5677f82723a296018df2bb3e6d9663c1b3da40fd14380abd4",
         "d48111ed80c12eca35881fccd192b27895c73d548949ceb9a73199c0f31a2569",
     ),
