@@ -34,7 +34,6 @@ from .stochastic import (
     edge_law,
     estimate_order_prob,
     path_probability,
-    sample_simplex_point,
     sample_walk,
 )
 from .thermo import (

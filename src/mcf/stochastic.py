@@ -10,6 +10,7 @@ one and vectorized batch ones for large experiments.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,13 +59,6 @@ def sample_simplex_integers(rng, n, bits=62, max_tries=1000):
     raise GraphError("failed to sample distinct cut points")
 
 
-def sample_simplex_point(rng, n, bits=62):
-    """Uniform dyadic point of the open simplex, as exact Fractions."""
-    parts = sample_simplex_integers(rng, n, bits)
-    hi = 1 << bits
-    return tuple(Fraction(p, hi) for p in parts)
-
-
 # -- measures --------------------------------------------------------------
 
 
@@ -102,13 +96,6 @@ def _cone_mass(qm):
 def path_probability(system, path, q):
     """Chance that a q-walk follows the given path: N(q)/N(q M_gamma)."""
     return cylinder_measure(system, path, q) / cylinder_measure(system, (), q)
-
-
-def is_balanced(q, labels_idx, k):
-    """(Lambda, K)-balance: max over all coordinates < K * min over Lambda."""
-    mx = max(q)
-    mn = min(q[i] for i in labels_idx)
-    return mx < k * mn
 
 
 # -- stopping times --------------------------------------------------------
@@ -217,6 +204,8 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
 
 def _walk(system, vertex, q0, stops, rng, max_steps, until):
     """``sample_walk`` that ends once ``until`` of the stops have fired."""
+    _vertex_index(system, vertex)
+    _check_dim(system, q0)
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
         raise GraphError("q0 must be positive")
@@ -274,8 +263,7 @@ def estimate_order_prob(
     """
     if trials < 1:
         raise GraphError("trials must be positive")
-    if max_steps < 0:
-        raise GraphError("max_steps must be non-negative")
+    _non_negative(max_steps=max_steps)
     stops = [stop_a, stop_b]
     if engine == "batch":
         a, b = _fire_steps(system, vertex, q0, stops, trials, seed, max_steps,
@@ -305,21 +293,27 @@ def estimate_order_prob(
 
 # -- vectorized batch engines ---------------------------------------------
 #
-# The three engines share one step: every live lane reads its vertex's row of
-# a padded out-edge table, a chooser picks the losing slot and updates the
-# lane's values, and the lane moves to the slot's target.  The engines differ
-# in the chooser (a q-law draw, or the exact integer minimum) and in what
-# they record.  Lanes retire when they enter a hole, tie, or have nothing
-# left to record, and only then are the lane arrays compacted.  Firing steps
-# have one loop with two retirement rules: ``batch_fire_steps`` keeps a lane
-# until all of its stops have fired, ``estimate_order_prob`` only until one
-# has, since the order is decided then.  Each lane carries its pending-stop
-# mask, so a step that fires nothing writes nothing and compacts nothing.
+# The three engines share one step: each live lane reads its vertex's slots
+# in a padded out-edge table, a chooser picks the losing slot and the new
+# values, and the lane moves to the slot's target.  The step reads the table
+# and the lane values as flat columns, one per slot, with 1-D takes: on
+# tables a few slots wide, 2-D fancy indexing costs more than the arithmetic.
+# The choosers sum, count and take minima column by column, left to right as
+# np.cumsum and argmin do, so every draw is that of a row-wise step.  Lanes
+# retire when they enter a hole, tie, or have nothing left to record, and
+# only then are the lane arrays compacted.  The recording engines fill a
+# step-major array and return its transpose.  ``batch_code_points`` walks
+# its lanes in blocks of ``_CODE_BLOCK``, which bound the step's temporaries
+# and, as its coding is exact, leave its output as it is.  A lane of
+# ``batch_fire_steps`` walks until all of its stops have fired, one of
+# ``estimate_order_prob`` until one has, since the order is decided then.
 
 # A self-loop run of K further losses adds K S to q_e' (see ``_RunDraw``).
 # S <= q_e', and K S < 2**53 q_e' since the uniform of the inverse-CDF draw is
 # at most 1 - 2**-53, so a run multiplies q_e' by at most 1 + min(K, 2**53).
 _RUN_CAP = 2**53
+
+_CODE_BLOCK = 2**14
 
 
 def _rescale_every(width, run_growth):
@@ -332,38 +326,56 @@ def _rescale_every(width, run_growth):
     return max(1, int(960 // max(15, math.log2(width * run_growth))))
 
 
+def _non_negative(**counts):
+    for name, n in counts.items():
+        if n < 0:
+            raise GraphError(f"{name} must be non-negative")
+
+
 # Value of the spare column in the exact engine: never the minimum.
 _NEVER_MIN = np.iinfo(np.int64).max
 
 
 class _PaddedTable(NamedTuple):
-    """The system's out-edge table as arrays, each row right-aligned.
+    """The system's out-edge table, one row per slot and right-aligned.
 
-    Row v of ``label`` and ``target`` gives the label index and the target
-    vertex index of each slot.  Slots before the out-edges are padding: they
-    point at the spare column past the alphabet and back at v.  ``hole``
-    marks the vertices without out-edges, or is None when there are none.
+    Entry [j, v] of ``label`` and ``target`` gives the label index and the
+    target vertex index of slot j at vertex index v.  Slots before the
+    out-edges are padding: they point at the spare column past the alphabet
+    and back at v.  ``hole`` marks the vertices without out-edges, or is None
+    when there are none.
     """
 
     label: np.ndarray
     target: np.ndarray
     hole: np.ndarray | None
 
+    def entry(self, vertex, slot):
+        """Flat index of the entries at ``slot`` of each lane's ``vertex``:
+        v + j V, with V the vertex count."""
+        return vertex + self.label.shape[1] * slot
+
 
 def _padded_table(system):
     index = {v: i for i, v in enumerate(system.vertices)}
     width = max(len(out) for out in system.table.values())
-    label = np.full((len(index), width), system.dim, dtype=np.int64)
-    target = np.repeat(np.arange(len(index))[:, None], width, axis=1)
+    label = np.full((width, len(index)), system.dim, dtype=np.int64)
+    target = np.repeat(np.arange(len(index))[None, :], width, axis=0)
     for v, name in enumerate(system.vertices):
         out = system.table[name]
         for slot, (_, li, dst, _) in enumerate(out, start=width - len(out)):
-            label[v, slot] = li
-            target[v, slot] = index[dst]
+            label[slot, v] = li
+            target[slot, v] = index[dst]
     hole = None
     if system.holes:
         hole = np.array([system.is_hole(v) for v in system.vertices])
     return _PaddedTable(label, target, hole)
+
+
+def _vertex_index(system, vertex):
+    if vertex not in system.vertices:
+        raise GraphError(f"unknown vertex {vertex!r}")
+    return system.vertices.index(vertex)
 
 
 class _Lanes:
@@ -371,12 +383,13 @@ class _Lanes:
 
     ``trial`` is each lane's row in the engine's output, ``vertex`` its
     vertex index and ``vals`` its values, with one spare column last.
+    ``vals`` stays C-contiguous, so the step reads and writes it flat.
     Engines may attach further per-lane arrays; ``keep`` compacts them all.
     """
 
-    def __init__(self, system, vertex, vals):
+    def __init__(self, vertex, vals):
         self.trial = np.arange(len(vals))
-        self.vertex = np.full(len(vals), system.vertices.index(vertex))
+        self.vertex = np.full(len(vals), vertex)
         self.vals = vals
 
     def keep(self, live):
@@ -388,47 +401,52 @@ class _Lanes:
 def _step(table, lanes, choose):
     """Move every live lane along one out-edge of its vertex.
 
-    Lanes that sit in a hole retire first.  ``choose(vals, labels, rows)``
-    picks a slot per lane and updates ``vals`` in place.  Returns the labels
-    competing at each lane's source vertex and the loser label.
+    Lanes that sit in a hole retire first.  ``choose(vals, at, val)`` reads,
+    per slot, the positions ``at`` of the lanes' values in the flat ``vals``
+    and the values ``val``.  It picks a slot per lane and returns it with the
+    loser's new value, which the step writes last; it may first update other
+    values in place.  Returns the label columns competing at each lane's
+    source vertex and the loser label.
     """
     if table.hole is not None:
-        lanes.keep(~table.hole[lanes.vertex])
-    labels = table.label[lanes.vertex]
-    rows = np.arange(len(labels))
-    slot = choose(lanes.vals, labels, rows)
-    lanes.vertex = table.target[lanes.vertex, slot]
-    return labels, labels[rows, slot]
+        lanes.keep(~table.hole.take(lanes.vertex))
+    src, flat = lanes.vertex, lanes.vals.ravel()
+    row = np.arange(0, flat.size, lanes.vals.shape[1])
+    label = [a.take(src) for a in table.label]
+    at = [row + a for a in label]
+    slot, value = choose(lanes.vals, at, [flat.take(i) for i in at])
+    pick = table.entry(src, slot)
+    loser = table.label.take(pick)
+    flat[row + loser] = value
+    lanes.vertex = table.target.take(pick)
+    return label, loser
 
 
 def _q_draw(rng):
     """Chooser of the q-law: a label loses with probability proportional to
     its coordinate, which then becomes the sum of the competing ones."""
 
-    def choose(q, labels, rows):
-        cum = np.cumsum(q[rows[:, None], labels], axis=1)
-        total = cum[:, -1]
-        u = rng.random(len(rows)) * total
+    def choose(q, at, val):
+        cum = list(itertools.accumulate(val))
+        u = rng.random(len(cum[-1])) * cum[-1]
         # padding weighs 0 and comes first, so the count always passes over
         # it, even when u rounds up to the total
-        slot = (u[:, None] >= cum[:, :-1]).sum(axis=1)
-        q[rows, labels[rows, slot]] = total
-        return slot
+        return sum(u >= c for c in cum[:-1]), cum[-1]
 
     return choose
 
 
-def _exact_min(x, labels, rows):
+def _exact_min(x, at, val):
     """Chooser of the induction: the smallest competing coordinate loses and
     is subtracted from the other competing ones."""
-    vals = x[rows[:, None], labels]
-    slot = vals.argmin(axis=1)
-    low = vals[rows, slot]
-    vals -= low[:, None]
-    vals[rows, slot] = low
-    x[rows[:, None], labels] = vals
+    low = list(itertools.accumulate(val, np.minimum))
+    # the first minimum loses: its slot counts the running minima above it
+    slot = sum(m > low[-1] for m in low[:-1])
+    flat = x.ravel()
+    for i, v in zip(at, val):
+        flat[i] = v - low[-1]
     x[:, -1] = _NEVER_MIN  # padding slots wrote to the spare column
-    return slot
+    return slot, low[-1]
 
 
 class _RunDraw:
@@ -441,42 +459,45 @@ class _RunDraw:
     K by inverse CDF.  K is clipped at the lane's remaining steps, q_e
     becomes q_e' + K S and the lane's step count grows by 1 + K.  The run
     ends where e does not lose, so the lane's next draw excludes e.  The
-    chooser gives ``lanes`` these two arrays, ``step`` and ``excluded``;
-    ``start``, ``gap`` and ``run`` keep q_e', S and K of the last draw, for
-    finding first firing steps inside the runs.
+    chooser gives ``lanes`` these two arrays, ``step`` and ``excluded`` (a
+    slot, or -1); ``start``, ``gap`` and ``run`` keep q_e', S and K of the
+    last draw, for finding first firing steps inside the runs.
     """
 
-    def __init__(self, rng, loop, lanes, max_steps):
-        self.rng, self.loop, self.lanes = rng, loop, lanes
+    def __init__(self, rng, table, lanes, max_steps):
+        self.rng, self.table, self.lanes = rng, table, lanes
         self.max_steps = max_steps
-        self.spare = lanes.vals.shape[1] - 1
         lanes.step = np.zeros(len(lanes.trial), dtype=np.int64)
-        lanes.excluded = np.full(len(lanes.trial), self.spare)
+        lanes.excluded = np.full(len(lanes.trial), -1)
         self.start = self.gap = np.zeros(len(lanes.trial))
         self.run = lanes.step.copy()
 
-    def __call__(self, q, labels, rows):
+    def __call__(self, q, at, val):
         lanes = self.lanes
-        w = q[rows[:, None], labels]
-        total = w.sum(axis=1)
-        w[labels == lanes.excluded[:, None]] = 0
-        cum = np.cumsum(w, axis=1)
-        u, v = self.rng.random((2, len(rows)))
+        total = sum(val[1:], val[0])
+        # a run leaves the lane at its vertex, so e keeps its slot
+        w = [np.where(lanes.excluded == j, 0.0, v) for j, v in enumerate(val)]
+        cum = list(itertools.accumulate(w))
+        u, v = self.rng.random((2, len(total)))
         # zero weights are passed over, since u stays below their total
-        slot = (u[:, None] * cum[:, -1:] >= cum[:, :-1]).sum(axis=1)
-        loser = labels[rows, slot]
-        gap = total - w[rows, slot]
+        u *= cum[-1]
+        slot = sum(u >= c for c in cum[:-1])
+        chosen = w[0]
+        for j, c in enumerate(w[1:], start=1):
+            chosen = np.where(slot == j, c, chosen)
+        gap = total - chosen
         # S = 0 leaves nothing else to lose: the run lasts to the cap
-        k = np.divide(total * v, gap * (1 - v), out=np.full(len(rows), np.inf),
+        k = np.divide(total * v, gap * (1 - v), out=np.full(len(total), np.inf),
                       where=gap > 0)
         left = self.max_steps - 1 - lanes.step
-        loop = self.loop[lanes.vertex, slot]
+        # padding is never drawn, so a slot that stays put is a self-loop
+        src = lanes.vertex
+        loop = self.table.target.take(self.table.entry(src, slot)) == src
         run = np.where(loop, np.minimum(k, left), 0).astype(np.int64)
-        q[rows, loser] = total + run * gap
         lanes.step += 1 + run
-        lanes.excluded = np.where(loop, loser, self.spare)
+        lanes.excluded = np.where(loop, slot, -1)
         self.start, self.gap, self.run = total, gap, run
-        return slot
+        return slot, total + run * gap
 
     def rescale(self, e):
         """Scale ``start`` and ``gap`` with q, by 2**e per lane."""
@@ -521,11 +542,18 @@ def _halvings(q):
     return -np.frexp(q.max(axis=1))[1][:, None]
 
 
+def _check_dim(system, q0):
+    if len(q0) != system.dim:
+        raise GraphError(f"q0 has {len(q0)} coordinates, the system "
+                         f"{system.dim} letters")
+
+
 def _q_lanes(system, vertex, q0, trials):
+    _check_dim(system, q0)
     q = np.array([float(c) for c in q0] + [0.0])
     if not (q[:-1] > 0).all():
         raise GraphError("q0 must be positive")
-    return _Lanes(system, vertex, np.tile(q, (trials, 1)))
+    return _Lanes(_vertex_index(system, vertex), np.tile(q, (trials, 1)))
 
 
 def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
@@ -541,11 +569,10 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
     lanes = _q_lanes(system, vertex, q0, trials)
     lanes.q0 = lanes.vals[:, :-1].copy()
     lanes.pending = np.ones((trials, len(stops)), dtype=bool)
-    loop = (table.target == np.arange(len(table.target))[:, None]) & (
-        table.label < system.dim)
-    runs = loop.any()
-    draw = _RunDraw(rng, loop, lanes, max_steps) if runs else _q_draw(rng)
-    every = _rescale_every(table.label.shape[1],
+    runs = ((table.target == np.arange(table.target.shape[1]))
+            & (table.label < system.dim)).any()
+    draw = _RunDraw(rng, table, lanes, max_steps) if runs else _q_draw(rng)
+    every = _rescale_every(len(table.label),
                            1 + min(max_steps, _RUN_CAP) if runs else 1)
     index = system.label_index
     fired = np.full((len(stops), trials), -1, dtype=np.int64)
@@ -553,7 +580,8 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
     present = np.empty((trials, 0), dtype=np.int64)
     for step in range(max_steps + 1):
         if step:
-            present, loser = _step(table, lanes, draw)
+            labels, loser = _step(table, lanes, draw)
+            present = np.array(labels).T
         if step % every == 0:
             e = _halvings(lanes.vals)
             lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
@@ -586,25 +614,27 @@ def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
     same factors, so comparisons of q with multiples of q0 are exact as long
     as q0 and the sums that make q are exact in floating point.
     """
-    if max_steps < 0:
-        raise GraphError("max_steps must be non-negative")
+    _non_negative(max_steps=max_steps, trials=trials)
     return _fire_steps(system, vertex, q0, stops, trials, seed, max_steps,
                        live=np.any)
 
 
 def batch_record_paths(system, vertex, q0, n_steps, trials, seed):
     """Loser label indices of the first n_steps steps of q-walks, vectorized;
-    -1 from the step at which a walk sits in a hole."""
+    -1 from the step at which a walk sits in a hole.  The result is a view,
+    the transpose of a step-major array.
+    """
+    _non_negative(n_steps=n_steps, trials=trials)
     table = _padded_table(system)
     draw = _q_draw(make_rng(seed))
     lanes = _q_lanes(system, vertex, q0, trials)
-    every = _rescale_every(table.label.shape[1], 1)
-    rec = np.full((trials, n_steps), -1, dtype=np.int64)
+    every = _rescale_every(len(table.label), 1)
+    rec = np.full((n_steps, trials), -1, dtype=np.int64)
     for step in range(n_steps):
         if step % every == 0:
             lanes.vals = np.ldexp(lanes.vals, _halvings(lanes.vals))
-        rec[lanes.trial, step] = _step(table, lanes, draw)[1]
-    return rec
+        rec[step, lanes.trial] = _step(table, lanes, draw)[1]
+    return rec.T
 
 
 def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
@@ -614,9 +644,12 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     ever decreases coordinates so int64 arithmetic stays exact; 2**bits must
     fit in int64, so ``bits`` runs from 1 to 62.  Trials that hit a tie are
     marked with -2 from the tie step onward, and trials in a hole with -1.
+    The result is a view, the transpose of a step-major array.
     """
     if not 1 <= bits <= 62:
         raise GraphError(f"bits must be in 1..62, got {bits}")
+    _non_negative(n_steps=n_steps, trials=trials)
+    start = _vertex_index(system, vertex)
     rng = make_rng(seed)
     hi = 1 << bits
     n = system.dim
@@ -633,14 +666,15 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
         bad = (pts <= 0).any(axis=1)
 
     table = _padded_table(system)
-    lanes = _Lanes(system, vertex, np.append(
-        pts, np.full((trials, 1), _NEVER_MIN), axis=1))
-    del pts
-    rec = np.full((trials, n_steps), -1, dtype=np.int64)
-    for step in range(n_steps):
-        rec[lanes.trial, step] = _step(table, lanes, _exact_min)[1]
-        # a tie at the minimum leaves a zero coordinate behind
-        tied = (lanes.vals == 0).any(axis=1)
-        rec[lanes.trial[tied], step:] = -2
-        lanes.keep(~tied)
-    return rec
+    rec = np.full((n_steps, trials), -1, dtype=np.int64)
+    for lo in range(0, trials, _CODE_BLOCK):
+        block = rec[:, lo:lo + _CODE_BLOCK]
+        lanes = _Lanes(start, np.pad(pts[lo:lo + _CODE_BLOCK], ((0, 0), (0, 1)),
+                                     constant_values=_NEVER_MIN))
+        for step in range(n_steps):
+            block[step, lanes.trial] = _step(table, lanes, _exact_min)[1]
+            # a tie at the minimum leaves a zero coordinate behind
+            tied = np.logical_or.reduce([c == 0 for c in lanes.vals.T[:-1]])
+            block[step:, lanes.trial[tied]] = -2
+            lanes.keep(~tied)
+    return rec.T
