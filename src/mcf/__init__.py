@@ -22,7 +22,7 @@ from .induction import (
     step,
 )
 from .catalog import NAMES as CATALOG_NAMES
-from .catalog import DomainEscape, build, conjugacy_check, gasket_survival
+from .catalog import DomainEscape, build, conjugacy_check
 from .stochastic import (
     Jump,
     JumpCoord,

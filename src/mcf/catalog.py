@@ -666,14 +666,3 @@ def conjugacy_check(named, trials=100, steps=20, seed=0, bits=62):
         "seed": seed,
     }
 
-
-def gasket_survival(x, n_steps):
-    """Iterate the unrestricted subtract-the-rest map until it escapes."""
-    ar = ArnouxRauzy("arnoux-rauzy", len(x), None, frozenset())
-    cur = tuple(x)
-    for k in range(n_steps):
-        try:
-            cur = ar.reference_step(cur)
-        except (DomainEscape, BoundaryTieError):
-            return {"survived": False, "steps": k}
-    return {"survived": True, "steps": n_steps}

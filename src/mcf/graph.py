@@ -92,19 +92,21 @@ class SimplicialSystem:
         return len(self.alphabet)
 
     def out_edges(self, v):
+        if v not in self._vertex_set:
+            raise GraphError(f"unknown vertex {v!r}")
         return self.out[v]
 
     def out_labels(self, v):
-        return tuple(self.edges[i].label for i in self.out[v])
+        return tuple(self.edges[i].label for i in self.out_edges(v))
 
     def edge_by_label(self, v, label):
-        for i in self.out[v]:
+        for i in self.out_edges(v):
             if self.edges[i].label == label:
                 return i
         raise GraphError(f"vertex {v!r} has no out-edge labeled {label!r}")
 
     def is_hole(self, v):
-        return not self.out[v]
+        return not self.out_edges(v)
 
     @cached_property
     def table(self):

@@ -307,6 +307,9 @@ def estimate_order_prob(
 # and, as its coding is exact, leave its output as it is.  A lane of
 # ``batch_fire_steps`` walks until all of its stops have fired, one of
 # ``estimate_order_prob`` until one has, since the order is decided then.
+# Both run one firing loop on every graph.  Its chooser draws a self-loop
+# run's length only where the drawn slot is a self-loop, so on graphs without
+# them it draws ``_q_draw``'s stream; each lane counts its own steps.
 
 # A self-loop run of K further losses adds K S to q_e' (see ``_RunDraw``).
 # S <= q_e', and K S < 2**53 q_e' since the uniform of the inverse-CDF draw is
@@ -342,13 +345,14 @@ class _PaddedTable(NamedTuple):
     Entry [j, v] of ``label`` and ``target`` gives the label index and the
     target vertex index of slot j at vertex index v.  Slots before the
     out-edges are padding: they point at the spare column past the alphabet
-    and back at v.  ``hole`` marks the vertices without out-edges, or is None
-    when there are none.
+    and back at v.  ``hole`` marks the vertices without out-edges, and
+    ``loop`` the slots that are self-loops; each is None when there are none.
     """
 
     label: np.ndarray
     target: np.ndarray
     hole: np.ndarray | None
+    loop: np.ndarray | None
 
     def entry(self, vertex, slot):
         """Flat index of the entries at ``slot`` of each lane's ``vertex``:
@@ -369,7 +373,9 @@ def _padded_table(system):
     hole = None
     if system.holes:
         hole = np.array([system.is_hole(v) for v in system.vertices])
-    return _PaddedTable(label, target, hole)
+    # padding points back at its vertex too, but past the alphabet
+    loop = (target == np.arange(len(index))) & (label < system.dim)
+    return _PaddedTable(label, target, hole, loop if loop.any() else None)
 
 
 def _vertex_index(system, vertex):
@@ -395,7 +401,9 @@ class _Lanes:
     def keep(self, live):
         """Retire the lanes outside ``live``."""
         if not live.all():
-            self.__dict__.update({k: a[live] for k, a in vars(self).items()})
+            rows = np.flatnonzero(live)
+            self.__dict__.update({k: a.take(rows, axis=0)
+                                  for k, a in vars(self).items()})
 
 
 def _step(table, lanes, choose):
@@ -452,13 +460,14 @@ def _exact_min(x, at, val):
 class _RunDraw:
     """Chooser of the q-law that draws each self-loop run in one go.
 
-    When the loser's edge is a self-loop, the lane stays put and only the
-    loser's coordinate grows.  With q_e' its value after the loss and S the
-    sum of the other competing coordinates, e keeps losing for k more steps
-    with probability q_e' / (q_e' + k S), so one uniform gives the run length
-    K by inverse CDF.  K is clipped at the lane's remaining steps, q_e
-    becomes q_e' + K S and the lane's step count grows by 1 + K.  The run
-    ends where e does not lose, so the lane's next draw excludes e.  The
+    ``_q_draw`` picks the slot.  When the loser's edge is a self-loop, the
+    lane stays put and only the loser's coordinate grows.  With q_e' its
+    value after the loss and S the sum of the other competing coordinates, e
+    keeps losing for k more steps with probability q_e' / (q_e' + k S), so a
+    second uniform, drawn for these lanes only, gives the run length K by
+    inverse CDF.  K is clipped at the lane's remaining steps, q_e becomes
+    q_e' + K S and the lane's step count grows by 1 + K.  The run ends where
+    e does not lose, so the lane's next draw gives e's slot weight 0.  The
     chooser gives ``lanes`` these two arrays, ``step`` and ``excluded`` (a
     slot, or -1); ``start``, ``gap`` and ``run`` keep q_e', S and K of the
     last draw, for finding first firing steps inside the runs.
@@ -466,6 +475,7 @@ class _RunDraw:
 
     def __init__(self, rng, table, lanes, max_steps):
         self.rng, self.table, self.lanes = rng, table, lanes
+        self.draw = _q_draw(rng)
         self.max_steps = max_steps
         lanes.step = np.zeros(len(lanes.trial), dtype=np.int64)
         lanes.excluded = np.full(len(lanes.trial), -1)
@@ -473,15 +483,21 @@ class _RunDraw:
         self.run = lanes.step.copy()
 
     def __call__(self, q, at, val):
-        lanes = self.lanes
+        lanes, loop = self.lanes, self.table.loop
+        if loop is None:
+            # no self-loops, no runs: the plain q-law, one step per lane
+            slot, self.start = self.draw(q, at, val)
+            self.gap = np.zeros(len(self.start))
+            self.run = np.zeros(len(self.start), dtype=np.int64)
+            lanes.step += 1
+            return slot, self.start
         total = sum(val[1:], val[0])
         # a run leaves the lane at its vertex, so e keeps its slot
         w = [np.where(lanes.excluded == j, 0.0, v) for j, v in enumerate(val)]
-        cum = list(itertools.accumulate(w))
-        u, v = self.rng.random((2, len(total)))
-        # zero weights are passed over, since u stays below their total
-        u *= cum[-1]
-        slot = sum(u >= c for c in cum[:-1])
+        slot = self.draw(q, at, w)[0]
+        looped = loop.take(self.table.entry(lanes.vertex, slot))
+        v = np.zeros(len(total))
+        v[looped] = self.rng.random(np.count_nonzero(looped))
         chosen = w[0]
         for j, c in enumerate(w[1:], start=1):
             chosen = np.where(slot == j, c, chosen)
@@ -490,12 +506,9 @@ class _RunDraw:
         k = np.divide(total * v, gap * (1 - v), out=np.full(len(total), np.inf),
                       where=gap > 0)
         left = self.max_steps - 1 - lanes.step
-        # padding is never drawn, so a slot that stays put is a self-loop
-        src = lanes.vertex
-        loop = self.table.target.take(self.table.entry(src, slot)) == src
-        run = np.where(loop, np.minimum(k, left), 0).astype(np.int64)
+        run = np.where(looped, np.minimum(k, left), 0).astype(np.int64)
         lanes.step += 1 + run
-        lanes.excluded = np.where(loop, slot, -1)
+        lanes.excluded = np.where(looped, slot, -1)
         self.start, self.gap, self.run = total, gap, run
         return slot, total + run * gap
 
@@ -560,24 +573,22 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
     """First firing step of each stop for each trial, -1 where it did not
     fire.  A lane walks while ``live(pending, axis=1)`` holds for its row of
     pending stops: ``np.any`` walks it until every stop has fired,
-    ``np.all`` until the first one has.  On a system with self-loops each
-    engine step draws a whole run, and each lane counts its own steps."""
+    ``np.all`` until the first one has.  Each engine step draws a whole
+    self-loop run where the loser is a self-loop, so each lane counts its
+    own steps."""
     # step counts are int64, and no walk takes 2**62 steps one at a time
     max_steps = min(max_steps, 2**62)
     table = _padded_table(system)
-    rng = make_rng(seed)
     lanes = _q_lanes(system, vertex, q0, trials)
     lanes.q0 = lanes.vals[:, :-1].copy()
     lanes.pending = np.ones((trials, len(stops)), dtype=bool)
-    runs = ((table.target == np.arange(table.target.shape[1]))
-            & (table.label < system.dim)).any()
-    draw = _RunDraw(rng, table, lanes, max_steps) if runs else _q_draw(rng)
-    every = _rescale_every(len(table.label),
-                           1 + min(max_steps, _RUN_CAP) if runs else 1)
+    draw = _RunDraw(make_rng(seed), table, lanes, max_steps)
+    every = _rescale_every(len(table.label), 1 + min(max_steps, _RUN_CAP))
     index = system.label_index
     fired = np.full((len(stops), trials), -1, dtype=np.int64)
     loser = np.full(trials, -1)
     present = np.empty((trials, 0), dtype=np.int64)
+    # every engine step moves each lane at least one step
     for step in range(max_steps + 1):
         if step:
             labels, loser = _step(table, lanes, draw)
@@ -585,22 +596,19 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
         if step % every == 0:
             e = _halvings(lanes.vals)
             lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
-            if runs:
-                draw.rescale(e[:, 0])
-        walks = Walks(lanes.vals, lanes.q0, loser, present,
-                      lanes.step if runs else step)
-        some_fired = False
+            draw.rescale(e[:, 0])
+        walks = Walks(lanes.vals, lanes.q0, loser, present, lanes.step)
+        capped = lanes.step >= max_steps
+        retire = capped.any()
         for j, s in enumerate(stops):
             hit = lanes.pending[:, j] & s.fires(walks, index)
             if hit.any():
-                at = draw.first_fire(s, walks, index, hit) if runs else step
+                at = draw.first_fire(s, walks, index, hit)
                 fired[j, lanes.trial[hit]] = at
                 lanes.pending[hit, j] = False
-                some_fired = True
-        if runs:
-            lanes.keep(live(lanes.pending, axis=1) & (lanes.step < max_steps))
-        elif some_fired:
-            lanes.keep(live(lanes.pending, axis=1))
+                retire = True
+        if retire:
+            lanes.keep(live(lanes.pending, axis=1) & ~capped)
         if not lanes.trial.size:
             break
     return fired

@@ -10,7 +10,6 @@ from mcf.catalog import (
     build,
     catalog_entries,
     conjugacy_check,
-    gasket_survival,
     sample_domain_point,
 )
 from mcf.graph import GraphError
@@ -152,12 +151,6 @@ def test_section_return_into_a_hole_is_a_domain_escape():
 def test_arp_falls_back_instead_of_escaping():
     arp = build("arp", 3)
     assert arp.reference_step((4, 3, 2)) == (1, 1, 2)
-
-
-def test_gasket_survival():
-    assert gasket_survival((7, 2, 1), 1)["survived"]
-    out = gasket_survival((3, 2, 2), 50)
-    assert not out["survived"]
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,15 @@ def test_unknown_vertex_rejected():
         SimplicialSystem(("1", "2"), ["v"], [("v", "w", "1")])
 
 
+def test_vertex_lookups_reject_an_unknown_vertex():
+    s = gauss()
+    lookups = (s.out_edges, s.out_labels, s.is_hole,
+               lambda v: s.edge_by_label(v, "1"))
+    for lookup in lookups:
+        with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
+            lookup("nowhere")
+
+
 def test_hole_detection():
     s = SimplicialSystem(("1", "2"), ["v", "h"], [("v", "h", "1"), ("v", "v", "2")])
     assert s.is_hole("h")

@@ -324,9 +324,9 @@ def test_fire_engine_long_walks_stay_in_float_range():
 
 def test_first_fires_do_not_depend_on_the_rescale_schedule(monkeypatch):
     # a larger max_steps lets a run grow q more, so q is rescaled more often
-    # (every 39 engine steps at 10**7, every 17 past 2**53); q stays an exact
-    # integer below 2**53 up to the thresholds, so the stops fire alike
-    s = gauss()
+    # (every 39 engine steps at 10**7, every 17 past 2**53), on a graph with
+    # self-loops or, like brun(3), without; q stays an exact integer below
+    # 2**53 up to the thresholds, so the stops fire alike
     stops = [Jump(2**45), JumpCoord("1", 2**45)]
     calls = {"_step": 0, "_halvings": 0}
     for name in calls:
@@ -334,12 +334,15 @@ def test_first_fires_do_not_depend_on_the_rescale_schedule(monkeypatch):
             calls[name] += 1
             return f(*args)
         monkeypatch.setattr(stochastic, name, counted)
-    fired = batch_fire_steps(s, "v", (1, 1), stops, 2000, 3, 10**7)
-    assert calls["_halvings"] == calls["_step"] // 39 + 1
-    # the walk outlasts a rescale at either cap
-    assert calls["_step"] > 39
-    assert (fired == batch_fire_steps(s, "v", (1, 1), stops, 2000, 3, 10**30)).all()
-    assert (fired > 0).all()
+    for s in (gauss(), brun3()):
+        calls.update(_step=0, _halvings=0)
+        v, q0 = s.vertices[0], (1,) * s.dim
+        fired = batch_fire_steps(s, v, q0, stops, 2000, 3, 10**7)
+        assert calls["_halvings"] == calls["_step"] // 39 + 1
+        # the walk outlasts a rescale at either cap
+        assert calls["_step"] > 39
+        assert (fired == batch_fire_steps(s, v, q0, stops, 2000, 3, 10**30)).all()
+        assert (fired > 0).all()
 
 
 def test_batch_code_points_marks_ties_not_codes():
@@ -463,6 +466,8 @@ def test_engines_reject_an_unknown_vertex():
         batch_code_points(s, "nowhere", 5, 0, 1)
     with pytest.raises(GraphError, match="unknown vertex"):
         sample_walk(s, "nowhere", (1, 1, 1), [StepCount(3)], 1)
+    with pytest.raises(GraphError, match="unknown vertex"):
+        edge_law(s, "nowhere", (1, 1, 1))
     for engine in ("batch", "exact"):
         with pytest.raises(GraphError, match="unknown vertex"):
             estimate_order_prob(s, "nowhere", (1, 1, 1), Jump(2), Win("1"),
@@ -606,3 +611,15 @@ def test_seeded_engine_outputs_are_pinned(name, dim):
     code = batch_code_points(s, v, 12, 400, 23)
     tied = batch_code_points(s, v, 12, 400, 24, bits=8)
     assert tuple(map(_digest, (fired, rec, code, tied))) == PINNED[name, dim]
+
+
+# SHA-256 of the seeded batch_fire_steps output below.  The trap mixes slots
+# that are self-loops (letters 1 and 2 at v) with slots that are not, so its
+# lanes draw a run length on some steps and not on others.
+TRAP_PINNED = "6427ca445d81ac96fb7867222e22a38a830280f4ff1a043ecef8d3b9e3dc8a9a"
+
+
+def test_seeded_trap_fire_steps_are_pinned():
+    stops = [Lose("3"), Win("1"), JumpCoord("2", 8), StepCount(90)]
+    fired = batch_fire_steps(trap(), "v", (4, 4, 1), stops, 400, 25, 150)
+    assert _digest(fired) == TRAP_PINNED
