@@ -121,6 +121,14 @@ class SimplicialSystem:
 
     # -- the edge action ----------------------------------------------------
 
+    @cached_property
+    def _actions(self):
+        """Per edge: its loser label index and the competing label indices."""
+        return tuple(
+            (self.label_index[e.label], [c[1] for c in self.table[e.src]])
+            for e in self.edges
+        )
+
     def act(self, edge_index, rows):
         """Right-multiply row vectors by the edge's matrix, in place.
 
@@ -128,9 +136,7 @@ class SimplicialSystem:
         that compete at the source vertex, the loser's own included; the
         other coordinates are unchanged.  Returns ``rows``.
         """
-        e = self.edges[edge_index]
-        loser = self.label_index[e.label]
-        competing = [entry[1] for entry in self.table[e.src]]
+        loser, competing = self._actions[edge_index]
         for row in rows:
             row[loser] = sum([row[c] for c in competing])
         return rows
@@ -158,6 +164,8 @@ class SimplicialSystem:
     def check_path(self, path):
         prev = None
         for i in path:
+            if not 0 <= i < len(self.edges):
+                raise GraphError(f"edge index {i!r} is out of range")
             e = self.edges[i]
             if prev is not None and e.src != prev:
                 raise GraphError("edge sequence is not a path")

@@ -10,7 +10,6 @@ for the surviving sets of subgraphs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,45 +53,80 @@ class PressureEstimate:
         }
 
 
-def _kmp_table(pattern):
-    t = [0] * len(pattern)
-    k = 0
-    for i in range(1, len(pattern)):
-        while k and pattern[i] != pattern[k]:
-            k = t[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        t[i] = k
-    return t
+def _loop_table(system, base, max_length, avoid, allowed_edges, cap=1):
+    """The states of the loop walk, the sets that prune it and its size.
+
+    A state is a vertex and the length of the longest suffix of the path
+    that is a proper prefix of ``avoid``.  ``steps[state]`` lists the edges
+    that leave the state without completing ``avoid``, in reverse edge
+    order, as ``(edge, next state, whether it ends at base)``.  ``live[r]``
+    holds the states that can end a loop at ``base`` in 1 to r more edges;
+    the list stops where it stops changing.  ``count`` is the number of
+    nonempty loops at ``base`` of length <= max_length, capped at ``cap``:
+    capped counts stay small and reach a fixed point, where the table
+    stops growing however large max_length is.
+    """
+    if max_length < 0:
+        raise GraphError(f"truncation length L must be nonnegative, got {max_length}")
+    system.out_edges(base)  # raises on an unknown vertex
+    avoid = tuple(avoid)
+    allowed = None if allowed_edges is None else set(allowed_edges)
+    steps = {}
+    for v in system.vertices:
+        out = [i for i in reversed(system.out[v]) if allowed is None or i in allowed]
+        for k in range(max(len(avoid), 1)):
+            steps[v, k] = nxt = []
+            for i in out:
+                seen = avoid[:k] + (i,)
+                kk = next(j for j in range(k + 1, -1, -1)
+                          if seen[k + 1 - j:] == avoid[:j])
+                if kk < len(avoid):  # else the edge completes the factor
+                    dst = system.edges[i].dst
+                    nxt.append((i, (dst, kk), dst == base))
+    counts = dict.fromkeys(steps, 0)  # ways to end a loop in 1 to r edges
+    live = [frozenset()]
+    for _ in range(max_length):
+        new = {s: min(cap, sum(end + counts[t] for _, t, end in nxt))
+               for s, nxt in steps.items()}
+        if new == counts:
+            break
+        counts = new
+        alive = frozenset(s for s, c in counts.items() if c)
+        if alive != live[-1]:  # once equal, equal for every larger r
+            live.append(alive)
+    return steps, live, counts[base, 0]
+
+
+def _walk(system, base, max_length, steps, live, rows):
+    """Pairs (loop, rows . loop matrix) in the order of ``loop_words``.
+
+    Only prefixes that can still end a loop are pushed, and each acts once
+    on its parent's rows (``rows`` None carries none).
+    """
+    top = len(live) - 1  # live[top] holds for every r >= top
+    yield (), rows
+    stack = [((base, 0), (), rows)] if (base, 0) in live[top] else []
+    while stack:
+        state, path, rows = stack.pop()
+        can_end = live[min(max_length - 1 - len(path), top)]
+        for i, nxt, end in steps[state]:
+            go = nxt in can_end
+            if end or go:
+                p = path + (i,)
+                r = None if rows is None else system.act(i, [x[:] for x in rows])
+                if end:
+                    yield p, r
+                if go:
+                    stack.append((nxt, p, r))
 
 
 def loop_words(system, base, max_length, avoid, allowed_edges=None):
     """Loops at ``base`` (as edge index tuples) of length <= max_length that
     do not contain the edge sequence ``avoid`` as a factor.  Yields the
-    empty loop first, then the others depth-first in edge order."""
-    avoid = tuple(avoid)
-    table = _kmp_table(avoid) if avoid else []
-    yield ()
-    stack = [(base, (), 0)]
-    while stack:
-        v, path, k = stack.pop()
-        if len(path) == max_length:
-            continue
-        for i in reversed(system.out_edges(v)):
-            if allowed_edges is not None and i not in allowed_edges:
-                continue
-            kk = k
-            while kk and avoid[kk] != i:
-                kk = table[kk - 1]
-            if avoid and avoid[kk] == i:
-                kk += 1
-            if kk == len(avoid):
-                continue  # extension would contain the forbidden factor
-            e = system.edges[i]
-            p2 = path + (i,)
-            if e.dst == base:
-                yield p2
-            stack.append((e.dst, p2, kk))
+    empty loop first; then, for each prefix in depth-first edge order, the
+    loops one edge longer, in reverse edge order."""
+    steps, live, _ = _loop_table(system, base, max_length, avoid, allowed_edges)
+    return (w for w, _ in _walk(system, base, max_length, steps, live, None))
 
 
 def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
@@ -101,10 +135,11 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
 
     Matrices always come from ``system`` even when the loops are confined to
     ``allowed_edges``; that is what restricting a larger ambient graph to a
-    subgraph means for the roof.
+    subgraph means for the roof.  The letter count is known from the count
+    table before any letter is formed, so the guard costs no walk.
     """
-    if max_length < 0:
-        raise GraphError(f"truncation length L must be nonnegative, got {max_length}")
+    if not gamma_star:
+        raise GraphError("gamma_star must be a nonempty loop")
     system.check_path(gamma_star)
     base = system.edges[gamma_star[0]].src
     if system.edges[gamma_star[-1]].dst != base:
@@ -112,29 +147,15 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
     m_star = system.path_matrix(gamma_star)
     if any(x == 0 for row in m_star for x in row):
         raise GraphError("gamma_star must have an entrywise positive matrix")
-    words = loop_words(system, base, max_length, tuple(gamma_star), allowed_edges)
-    words = list(itertools.islice(words, max_letters + 1))
-    if len(words) > max_letters:
+    steps, live, count = _loop_table(system, base, max_length, gamma_star,
+                                     allowed_edges, cap=max(max_letters, 1))
+    if 1 + count > max_letters:
         raise GraphError(
             f"induced alphabet exceeds the guard of {max_letters} letters; lower L"
         )
-    # Consecutive words share prefixes in depth-first order: prefix[i] holds
-    # the rows of m_star . w[:i] of the last word, so each word only acts
-    # with the suffix it does not share with the word before it.
-    prefix = [[list(r) for r in m_star]]
-    prev = ()
-    letters = []
-    for w in words:
-        i, shared = 0, min(len(prev), len(w))
-        while i < shared and prev[i] == w[i]:
-            i += 1
-        del prefix[i + 1:]
-        for e in w[i:]:
-            prefix.append(system.act(e, [r[:] for r in prefix[-1]]))
-        matrix = tuple(map(tuple, prefix[-1]))
-        letters.append(Letter(system.path_labels(w), w, matrix))
-        prev = w
-    return letters
+    rows = [list(r) for r in m_star]
+    return [Letter(system.path_labels(w), w, tuple(map(tuple, r)))
+            for w, r in _walk(system, base, max_length, steps, live, rows)]
 
 
 # Representatives per block of the tuple kernel: a block's (d, d, BLOCK)
@@ -149,34 +170,40 @@ def _power_log_radius(stack, tol=1e-12, max_iter=500):
     lane's matrix as one contiguous vector, so a step is d*d multiply-adds
     of whole vectors.  Every lane iterates until the ratio spread of the worst
     lane falls below ``tol`` relative to its largest ratio; a stack that
-    does not get there within ``max_iter`` steps raises.
+    does not get there within ``max_iter`` steps raises.  The root is the
+    last step's growth ``s``: with ``v`` summing to 1, ``s`` is a weighted
+    mean of the step's ratios, so it lies in their Collatz-Wielandt bracket.
     """
     d, _, lanes = stack.shape
     v = np.full((d, lanes), 1.0 / d)
+    r = np.empty_like(v)
     for _ in range(max_iter):
         w = np.einsum("ijl,jl->il", stack, v)
         s = w.sum(axis=0)
         if (s <= 0).any():
             raise GraphError("matrix is not primitive on the positive cone")
         w /= s
-        r = w / np.maximum(v, 1e-300)
+        np.maximum(v, 1e-300, out=r)
+        np.divide(w, r, out=r)
         rmax = r.max(axis=0)
         spread = (rmax - r.min(axis=0)) / rmax
         v = w
         if spread.max() < tol:
-            break
-    else:
-        raise GraphError(
-            f"power iteration did not converge in {max_iter} steps; "
-            f"worst ratio spread {spread.max():.3g}"
-        )
-    lam = np.einsum("ijl,jl->l", stack, v) / v.sum(axis=0)
-    return np.log(lam)
+            return np.log(s)
+    raise GraphError(
+        f"power iteration did not converge in {max_iter} steps; "
+        f"worst ratio spread {spread.max():.3g}"
+    )
 
 
 def perron_value(matrix, tol=1e-12, max_iter=500):
     """log of the spectral radius of a nonnegative primitive matrix."""
-    a = np.array(matrix, dtype=np.float64)
+    try:
+        a = np.array(matrix, dtype=np.float64)
+    except ValueError as exc:
+        raise GraphError(f"matrix must be a square array of numbers: {exc}") from exc
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise GraphError(f"matrix must be square and nonempty, got shape {a.shape}")
     scale = a.max()
     if scale <= 0:
         raise GraphError("matrix must be nonnegative and nonzero")
@@ -187,16 +214,17 @@ def perron_value(matrix, tol=1e-12, max_iter=500):
 def _rotation_classes(k, n):
     """Smallest code among the rotations of every n-tuple code over k
     letters (first letter most significant), and the representatives:
-    the codes that are their own smallest rotation."""
-    codes = np.arange(k**n, dtype=np.int64)
+    the codes that are their own smallest rotation.  On the codes laid out
+    as a k x ... x k array, a rotation of the tuples is a move of the last
+    axis to the front."""
+    codes = np.arange(k**n, dtype=np.int64).reshape((k,) * n)
     canon = codes.copy()
-    top = k ** (n - 1)
     rot = codes
     for _ in range(n - 1):
-        rot = (rot % top) * k + rot // top
+        rot = np.moveaxis(rot, -1, 0)
         np.minimum(canon, rot, out=canon)
-    is_rep = canon == codes
-    return canon, is_rep
+    canon = canon.ravel()
+    return canon, np.flatnonzero(canon == codes.ravel())
 
 
 def tuple_log_radii(letters, n):
@@ -220,12 +248,11 @@ def tuple_log_radii(letters, n):
     scales = mats.max(axis=(1, 2))
     base = np.ascontiguousarray((mats / scales[:, None, None]).transpose(1, 2, 0))
     base_log = np.log(scales)
-    canon, is_rep = _rotation_classes(k, n)
-    reps = np.flatnonzero(is_rep)
-    out = np.empty(reps.size)
+    canon, reps = _rotation_classes(k, n)
+    radii = np.empty(k**n)
     for lo in range(0, reps.size, BLOCK):
         codes = reps[lo:lo + BLOCK]
-        digits = [codes // k ** (n - 1 - t) % k for t in range(n)]
+        digits = np.unravel_index(codes, (k,) * n)
         prod = base.take(digits[0], axis=2)
         log = base_log[digits[0]]
         for a in digits[1:]:
@@ -233,8 +260,8 @@ def tuple_log_radii(letters, n):
             scale = prod.max(axis=(0, 1))
             prod /= scale
             log = log + base_log[a] + np.log(scale)
-        out[lo:lo + BLOCK] = _power_log_radius(prod) + log
-    return out[(np.cumsum(is_rep) - 1)[canon]]
+        radii[codes] = _power_log_radius(prod) + log
+    return radii[canon]
 
 
 def _pressure(log_radii, n):
@@ -322,10 +349,10 @@ def pressure_analysis(system, max_length, n, base=None, gamma_star=None,
         )
         if gamma_star is None:
             raise GraphError("no positive loop found")
-    base = system.edges[gamma_star[0]].src
     letters = build_induced_alphabet(
         system, gamma_star, max_length, allowed_edges
     )
+    base = system.edges[gamma_star[0]].src
     log_radii = tuple_log_radii(letters, n)
     kappa, residual = solve_kappa(letters, n, bracket, log_radii=log_radii)
     return PressureEstimate(
@@ -343,6 +370,8 @@ def pressure_analysis(system, max_length, n, base=None, gamma_star=None,
 
 def hausdorff_bound(kappa, alphabet_size):
     """Dimension bound of a surviving set from its pressure parameter."""
+    if alphabet_size < 1:
+        raise GraphError(f"alphabet size must be positive, got {alphabet_size}")
     return alphabet_size - 2 + kappa / alphabet_size
 
 

@@ -14,6 +14,8 @@ from mcf.graph import (
     find_positive_path,
     strongly_connected_components,
 )
+from mcf.induction import in_cylinder
+from mcf.stochastic import cylinder_measure
 
 
 def gauss():
@@ -73,6 +75,18 @@ def test_path_matrix_multiplicative():
             ("1", "2"), ["a", "b"], [("a", "b", "1"), ("a", "b", "2")]
         )
         broken.path_matrix([0, 1])
+
+
+@pytest.mark.parametrize("index", [-1, "len"])
+def test_paths_reject_an_out_of_range_edge_index(index):
+    s = build("brun", 3).system
+    path = [len(s.edges) if index == "len" else index]
+    calls = (s.check_path, s.path_matrix,
+             lambda p: cylinder_measure(s, p, (1, 1, 1)),
+             lambda p: in_cylinder(s, p, (1, 1, 1)))
+    for call in calls:
+        with pytest.raises(GraphError, match="out of range"):
+            call(path)
 
 
 def test_json_round_trip():

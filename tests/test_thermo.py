@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcf.catalog import build
-from mcf.graph import GraphError, find_positive_path
+from mcf.graph import GraphError, SimplicialSystem, find_positive_path
 from mcf.thermo import (
     asymptotic_gasket_bound,
     build_induced_alphabet,
@@ -58,11 +58,32 @@ def test_perron_raises_when_the_iteration_cap_is_reached():
         perron_value(((1, 1), (1, 2)), max_iter=1)
 
 
-@pytest.mark.parametrize("name, dim, L", [("gauss", None, 4), ("brun", 3, 3)])
+def restricted_gasket():
+    """The arnoux-rauzy(2) gasket without its exit edges."""
+    named = build("arnoux-rauzy", 2)
+    exits = set(named.meta["exit_edges"])
+    allowed = [i for i in range(len(named.system.edges)) if i not in exits]
+    return named.system, allowed
+
+
+def system_and_edges(name, dim=None):
+    """A catalog system with no edge restriction, the restricted gasket for
+    ``"gasket"``, or ``dead_end()`` for ``"dead-end"``."""
+    if name == "gasket":
+        return restricted_gasket()
+    if name == "dead-end":
+        return dead_end(), None
+    return build(name, dim).system, None
+
+
+@pytest.mark.parametrize("name, dim, L", [
+    ("gauss", None, 4), ("brun", 3, 3), ("brun", 4, 8), ("gasket", None, 10),
+])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tuple_log_radii_match_eigenvalues_in_tuple_order(name, dim, L, n):
-    s = build(name, dim).system
-    letters = build_induced_alphabet(s, find_positive_path(s), L)
+    s, allowed = system_and_edges(name, dim)
+    g = find_positive_path(s, allowed_edges=allowed)
+    letters = build_induced_alphabet(s, g, L, allowed)
     mats = np.array([l.matrix for l in letters], dtype=np.float64)
     expected = []
     for t in itertools.product(range(len(letters)), repeat=n):  # a1 most significant
@@ -80,6 +101,84 @@ def test_pressure_inputs_out_of_range_raise():
         build_induced_alphabet(s, g, -1)
     with pytest.raises(GraphError):
         tuple_log_radii(build_induced_alphabet(s, g, 4), 0)
+
+
+def test_thermo_inputs_raise_graph_errors_for_an_empty_gamma_star():
+    s, _ = gauss_star()
+    with pytest.raises(GraphError, match="nonempty loop"):
+        build_induced_alphabet(s, (), 4)
+    with pytest.raises(GraphError, match="nonempty loop"):
+        pressure_analysis(s, 4, 1, gamma_star=())
+
+
+def test_hausdorff_bound_rejects_an_empty_alphabet():
+    with pytest.raises(GraphError, match="alphabet size must be positive"):
+        hausdorff_bound(2.0, 0)
+
+
+@pytest.mark.parametrize("matrix", [((1, 2, 3), (4, 5, 6)), ((1, 2), (3,)), (1, 2), ()])
+def test_perron_value_rejects_a_matrix_that_is_not_square(matrix):
+    with pytest.raises(GraphError, match="square"):
+        perron_value(matrix)
+
+
+def brute_force_loops(s, base, L, avoid, allowed):
+    """Oracle for ``loop_words``: every label word of length <= L, followed
+    from ``base`` (a vertex's out-labels are distinct, so the labels fix the
+    path), kept when it is a loop in ``allowed`` without the factor
+    ``avoid``.  The empty factor occurs in every nonempty word.  Ordered as
+    documented: the empty loop, then the loops grouped by their prefix in
+    depth-first edge order, each group in reverse edge order."""
+    loops = []
+    for length in range(1, L + 1):
+        for labels in itertools.product(s.alphabet, repeat=length):
+            w, v = [], base
+            for a in labels:
+                i = next((i for i in s.out[v] if s.edges[i].label == a), None)
+                if i is None or (allowed is not None and i not in allowed):
+                    break
+                w.append(i)
+                v = s.edges[i].dst
+            else:
+                w = tuple(w)
+                m = len(avoid)
+                if v == base and all(w[j:j + m] != avoid for j in range(length - m + 1)):
+                    loops.append(w)
+
+    def rank(i):
+        return s.label_index[s.edges[i].label]
+
+    loops.sort(key=lambda w: (tuple(map(rank, w[:-1])), -rank(w[-1])))
+    return [()] + loops
+
+
+def dead_end():
+    """Vertex c cannot reach the base a."""
+    return SimplicialSystem(("1", "2", "3"), ["a", "b", "c"], [
+        ("a", "a", "1"), ("a", "b", "2"), ("a", "c", "3"),
+        ("b", "a", "1"), ("b", "c", "2"), ("c", "c", "1"), ("c", "c", "2"),
+    ])
+
+
+@pytest.mark.parametrize("name, dim, L", [
+    ("gauss", None, 9), ("brun", 3, 7), ("gasket", None, 10), ("dead-end", None, 7),
+])
+def test_loop_words_match_a_brute_force_oracle(name, dim, L):
+    s, allowed = system_and_edges(name, dim)
+    g = (0, 1, 3) if name == "dead-end" else find_positive_path(s, allowed_edges=allowed)
+    base = s.edges[g[0]].src
+    for avoid in ((), tuple(g), (s.out[base][0],)):
+        for length in (0, 1, L):
+            got = list(loop_words(s, base, length, avoid, allowed))
+            assert got == brute_force_loops(s, base, length, avoid, allowed)
+            if length == L and avoid:
+                assert len(got) > 3
+
+
+def test_loop_words_reject_a_negative_length():
+    s, g = gauss_star()
+    with pytest.raises(GraphError, match="nonnegative"):
+        next(loop_words(s, "v", -1, g))
 
 
 def test_loop_words_exclude_forbidden_factor():
@@ -114,6 +213,22 @@ def test_alphabet_guard_raises():
     assert len(build_induced_alphabet(s, g, 4)) > 10
     with pytest.raises(GraphError, match="guard of 10 letters"):
         build_induced_alphabet(s, g, 4, max_letters=10)
+
+
+def test_alphabet_guard_boundary_is_the_exact_letter_count():
+    s = build("brun", 3).system
+    g = find_positive_path(s)
+    assert len(build_induced_alphabet(s, g, 8)) == 54
+    assert len(build_induced_alphabet(s, g, 8, max_letters=54)) == 54
+    with pytest.raises(GraphError, match="guard of 53 letters"):
+        build_induced_alphabet(s, g, 8, max_letters=53)
+
+
+@pytest.mark.parametrize("name, dim", [("brun", 3), ("gauss", None)])
+def test_alphabet_guard_holds_at_a_huge_length(name, dim):
+    s = build(name, dim).system
+    with pytest.raises(GraphError, match="guard of 200000 letters"):
+        build_induced_alphabet(s, find_positive_path(s), 10**6)
 
 
 def test_letter_count_nondecreasing_in_length():
