@@ -13,13 +13,9 @@ from .induction import (
     BoundaryTieError,
     HoleReachedError,
     MaxStepsExceeded,
-    birkhoff_contraction,
-    code_point,
-    hilbert_distance,
     in_cylinder,
     induced_step,
     orbit,
-    step,
 )
 from .catalog import NAMES as CATALOG_NAMES
 from .catalog import DomainEscape, build, conjugacy_check
@@ -33,15 +29,12 @@ from .stochastic import (
     cylinder_measure,
     edge_law,
     estimate_order_prob,
-    path_probability,
     sample_walk,
 )
 from .thermo import (
     asymptotic_gasket_bound,
     build_induced_alphabet,
     hausdorff_bound,
-    partition_sum,
-    perron_value,
     pressure_analysis,
     solve_kappa,
 )

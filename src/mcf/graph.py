@@ -31,11 +31,6 @@ class Edge:
         return {"from": self.src, "to": self.dst, "label": self.label}
 
 
-def vec_mat(q, m):
-    n = len(q)
-    return tuple(sum(q[i] * m[i][j] for i in range(n)) for j in range(n))
-
-
 def mat_vec(m, v):
     n = len(v)
     return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
@@ -132,24 +127,19 @@ class SimplicialSystem:
     def act(self, edge_index, rows):
         """Right-multiply row vectors by the edge's matrix, in place.
 
-        In each row the loser coordinate becomes the sum of the coordinates
-        that compete at the source vertex, the loser's own included; the
-        other coordinates are unchanged.  Returns ``rows``.
+        The edge's matrix is unipotent: the identity plus, in the loser's
+        column, a 1 in every row indexed by another out-label of the source
+        vertex.  So in each row the loser coordinate becomes the sum of the
+        coordinates that compete at the source vertex, the loser's own
+        included; the other coordinates are unchanged.  The inverse
+        subtracts the loser coordinate from each winner.  Returns ``rows``.
         """
+        if not 0 <= edge_index < len(self.edges):
+            raise GraphError(f"edge index {edge_index!r} is out of range")
         loser, competing = self._actions[edge_index]
         for row in rows:
             row[loser] = sum([row[c] for c in competing])
         return rows
-
-    def edge_matrix(self, edge_index):
-        """Unipotent matrix of an edge: identity plus one unit entry per winner.
-
-        Column ``loser`` picks up a 1 in every row indexed by another
-        out-label of the source vertex, so that right multiplication adds the
-        winner mass of a row vector to the loser and inverse application
-        subtracts the loser coordinate from each winner.
-        """
-        return self.path_matrix([edge_index])
 
     def path_matrix(self, path):
         """Ordered product of edge matrices along a path of edge indices: the
@@ -170,6 +160,11 @@ class SimplicialSystem:
             if prev is not None and e.src != prev:
                 raise GraphError("edge sequence is not a path")
             prev = e.dst
+
+    def check_point(self, point, name="point"):
+        if len(point) != self.dim:
+            raise GraphError(f"{name} has {len(point)} coordinates, the system "
+                             f"{self.dim} letters")
 
     def path_labels(self, path):
         return tuple(self.edges[i].label for i in path)

@@ -60,11 +60,6 @@ class StepRecord:
         }
 
 
-def normalize(point):
-    total = _mass(point)
-    return tuple(Fraction(x) / total for x in point)
-
-
 def _mass(point):
     total = sum(point)
     if total <= 0:
@@ -110,27 +105,14 @@ def _advance(table, vertex, cur, unit=1):
     return best
 
 
-def step(system, vertex, point, step_index=0):
-    """One induction step.  Returns ``(new_vertex, new_point, record)``.
-
-    The new point is renormalized to total mass 1; the record keeps the exact
-    rational mass ratio whose negative logarithm is the roof increment.
-    """
-    cur, den = _integer_point(point)
-    total = sum(cur)
-    entry = _advance(system.table, vertex, cur, den)
-    new_total = _mass(cur)
-    ratio = Fraction(new_total, total)
-    rec = StepRecord(step_index, vertex, entry[0], entry[3], ratio)
-    return entry[2], tuple(Fraction(c, new_total) for c in cur), rec
-
-
 def orbit(system, vertex, point, n):
     """Iterate the induction n times; returns (vertex, point, [records]).
 
     The orbit runs on one integer vector; only the records' mass ratios and
     the final point are rationals.
     """
+    system.out_edges(vertex)  # raises on an unknown vertex
+    system.check_point(point)
     table = system.table
     cur, _ = _integer_point(point)
     total = _mass(cur)
@@ -144,48 +126,26 @@ def orbit(system, vertex, point, n):
     return vertex, tuple(Fraction(c, total) for c in cur), records
 
 
-def code_point(system, vertex, point, n):
-    """Label sequence of the first n induction steps."""
-    _, _, records = orbit(system, vertex, point, n)
-    return tuple(r.edge_label for r in records)
-
-
-def apply_edge_inverse(system, edge_index, point):
-    """Exact ``point - loser`` update on the winner coordinates of one edge."""
-    e = system.edges[edge_index]
-    li = system.label_index[e.label]
-    new = list(point)
-    for entry in system.table[e.src]:
-        if entry[1] != li:
-            new[entry[1]] -= new[li]
-    return tuple(new)
-
-
 def in_cylinder(system, path, point):
     """Whether ``point`` belongs to the open cone spanned by a path's matrix.
 
     Equivalent to strict positivity of the pulled-back coordinates; the edge
-    inverses are applied in path order.
+    inverses are applied in path order, each subtracting the loser
+    coordinate from the winners.
     """
     system.check_path(path)
+    system.check_point(point)
     cur, _ = _integer_point(point)
     for i in path:
-        cur = apply_edge_inverse(system, i, cur)
+        e = system.edges[i]
+        li = system.label_index[e.label]
+        low = cur[li]
+        for entry in system.table[e.src]:
+            if entry[1] != li:
+                cur[entry[1]] -= low
         if any(x <= 0 for x in cur):
             return False
     return True
-
-
-def path_norm_ratio(system, path, point):
-    """Exact mass ratio left after pulling ``point`` back through a path."""
-    cur, _ = _integer_point(point)
-    total = sum(cur)
-    for i in path:
-        cur = apply_edge_inverse(system, i, cur)
-    left = sum(cur)
-    if left <= 0:
-        raise GraphError("point is not in the cylinder of the path")
-    return Fraction(left, total)
 
 
 def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
@@ -205,6 +165,7 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     before the trailing ``gamma_star`` block, so the last m+1 states are kept;
     the ratios of the steps telescope to the ratio of its mass to the start's.
     """
+    system.out_edges(vertex)  # raises on an unknown vertex
     m = len(gamma_star)
     star = list(gamma_star)
     if not in_cylinder(system, gamma_star, point):
@@ -226,34 +187,3 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
             word = system.path_labels(coding[m:-m])
             return tuple(Fraction(c, left) for c in back), word, Fraction(left, start)
     raise MaxStepsExceeded(f"no return within {max_steps} steps")
-
-
-def hilbert_distance(v, w):
-    """Projective distance ``log (max_i v_i/w_i) / (min_i v_i/w_i)``."""
-    if len(v) != len(w):
-        raise GraphError("dimension mismatch")
-    ratios = []
-    for a, b in zip(v, w):
-        if a <= 0 or b <= 0:
-            return math.inf
-        ratios.append(Fraction(a) / Fraction(b))
-    return math.log(max(ratios) / min(ratios))
-
-
-def birkhoff_contraction(matrix):
-    """Contraction coefficient of a nonnegative matrix on the positive cone.
-
-    ``tanh(D/4)`` with D the projective diameter of the image, i.e. the
-    largest pairwise distance between columns.  Returns 1.0 when the matrix
-    has a zero entry (no uniform contraction).
-    """
-    n = len(matrix)
-    cols = [tuple(matrix[i][j] for i in range(n)) for j in range(n)]
-    diam = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            d = hilbert_distance(cols[a], cols[b])
-            if d == math.inf:
-                return 1.0
-            diam = max(diam, d)
-    return math.tanh(diam / 4.0)

@@ -67,6 +67,7 @@ def edge_law(system, vertex, q):
     out = system.out_edges(vertex)
     if not out:
         raise GraphError(f"vertex {vertex!r} is a hole")
+    system.check_point(q, "q")
     weights = [Fraction(q[system.label_index[system.edges[i].label]]) for i in out]
     total = sum(weights)
     if any(w <= 0 for w in weights):
@@ -76,8 +77,9 @@ def edge_law(system, vertex, q):
 
 def cylinder_measure(system, path, q):
     """Projective mass of a path cylinder: (1/n!) prod_i 1/(q M_gamma)_i."""
-    qm = [Fraction(c) for c in q]
     system.check_path(path)
+    system.check_point(q, "q")
+    qm = [Fraction(c) for c in q]
     for i in path:
         system.act(i, [qm])
     return _cone_mass(qm)
@@ -91,11 +93,6 @@ def _cone_mass(qm):
             raise GraphError("q must be positive")
         out /= c
     return out
-
-
-def path_probability(system, path, q):
-    """Chance that a q-walk follows the given path: N(q)/N(q M_gamma)."""
-    return cylinder_measure(system, path, q) / cylinder_measure(system, (), q)
 
 
 # -- stopping times --------------------------------------------------------
@@ -205,7 +202,7 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
 def _walk(system, vertex, q0, stops, rng, max_steps, until):
     """``sample_walk`` that ends once ``until`` of the stops have fired."""
     _vertex_index(system, vertex)
-    _check_dim(system, q0)
+    system.check_point(q0, "q0")
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
         raise GraphError("q0 must be positive")
@@ -555,14 +552,8 @@ def _halvings(q):
     return -np.frexp(q.max(axis=1))[1][:, None]
 
 
-def _check_dim(system, q0):
-    if len(q0) != system.dim:
-        raise GraphError(f"q0 has {len(q0)} coordinates, the system "
-                         f"{system.dim} letters")
-
-
 def _q_lanes(system, vertex, q0, trials):
-    _check_dim(system, q0)
+    system.check_point(q0, "q0")
     q = np.array([float(c) for c in q0] + [0.0])
     if not (q[:-1] > 0).all():
         raise GraphError("q0 must be positive")

@@ -196,21 +196,6 @@ def _power_log_radius(stack, tol=1e-12, max_iter=500):
     )
 
 
-def perron_value(matrix, tol=1e-12, max_iter=500):
-    """log of the spectral radius of a nonnegative primitive matrix."""
-    try:
-        a = np.array(matrix, dtype=np.float64)
-    except ValueError as exc:
-        raise GraphError(f"matrix must be a square array of numbers: {exc}") from exc
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
-        raise GraphError(f"matrix must be square and nonempty, got shape {a.shape}")
-    scale = a.max()
-    if scale <= 0:
-        raise GraphError("matrix must be nonnegative and nonzero")
-    lam = _power_log_radius((a / scale)[:, :, None], tol, max_iter)
-    return float(lam[0]) + math.log(scale)
-
-
 def _rotation_classes(k, n):
     """Smallest code among the rotations of every n-tuple code over k
     letters (first letter most significant), and the representatives:
@@ -284,13 +269,6 @@ def _pressure(log_radii, n):
         return (math.log(total) - kappa * low) / n, -(low + mean) / n
 
     return pressure
-
-
-def partition_sum(letters, n, kappa, log_radii=None):
-    """(1/n) log Z_n at inverse dimension parameter kappa."""
-    if log_radii is None:
-        log_radii = tuple_log_radii(letters, n)
-    return _pressure(log_radii, n)(kappa)[0]
 
 
 # Newton steps before the solve gives up; from the left end of the default

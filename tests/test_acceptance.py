@@ -17,7 +17,6 @@ from mcf.graph import (
     SimplicialSystem,
     check_non_degenerating,
     find_positive_path,
-    vec_mat,
 )
 from mcf.stochastic import (
     JumpCoord,
@@ -29,7 +28,6 @@ from mcf.stochastic import (
     cylinder_measure,
     estimate_order_prob,
     make_rng,
-    path_probability,
 )
 from mcf.thermo import hausdorff_bound, pressure_analysis
 
@@ -207,6 +205,11 @@ def _random_paths(system, base, rng, count, max_len):
     return out
 
 
+def _path_probability(system, path, q):
+    """Chance that a q-walk follows the path: N(q)/N(q M_gamma)."""
+    return cylinder_measure(system, path, q) / cylinder_measure(system, [], q)
+
+
 def test_criterion_6_measure_cross_check():
     rng = make_rng(606)
     bad = []
@@ -220,9 +223,7 @@ def test_criterion_6_measure_cross_check():
             labs = np.array(
                 [system.label_index[system.edges[i].label] for i in path]
             )
-            p_exact = float(
-                cylinder_measure(system, path, q) / cylinder_measure(system, [], q)
-            )
+            p_exact = float(_path_probability(system, path, q))
             hits = (rec[valid][:, : len(labs)] == labs).all(axis=1)
             n = int(valid.sum())
             p_mc = float(hits.mean())
@@ -233,10 +234,12 @@ def test_criterion_6_measure_cross_check():
             # exact chain rule at every split point
             for cut in range(len(path) + 1):
                 g1, g2 = path[:cut], path[cut:]
-                lhs = path_probability(system, path, q)
-                rhs = path_probability(system, g1, q) * path_probability(
-                    system, g2, vec_mat(tuple(Fraction(c) for c in q),
-                                        system.path_matrix(g1)))
+                q1 = [Fraction(c) for c in q]
+                for i in g1:
+                    system.act(i, [q1])
+                lhs = _path_probability(system, path, q)
+                rhs = (_path_probability(system, g1, q)
+                       * _path_probability(system, g2, q1))
                 assert lhs == rhs
     ok = report(6, not bad,
                 "40 cylinder measures match 10^6-sample Monte Carlo within "

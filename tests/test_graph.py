@@ -61,9 +61,9 @@ def test_hole_detection():
 
 def test_edge_matrix_unipotent():
     s = gauss()
-    m = s.edge_matrix(0)  # label 1 loses, label 2 wins
+    m = s.path_matrix([0])  # label 1 loses, label 2 wins
     assert m == ((1, 0), (1, 1))
-    m2 = s.edge_matrix(1)
+    m2 = s.path_matrix([1])
     assert m2 == ((1, 1), (0, 1))
 
 
@@ -82,6 +82,7 @@ def test_paths_reject_an_out_of_range_edge_index(index):
     s = build("brun", 3).system
     path = [len(s.edges) if index == "len" else index]
     calls = (s.check_path, s.path_matrix,
+             lambda p: s.act(p[0], [[1, 1, 1]]),
              lambda p: cylinder_measure(s, p, (1, 1, 1)),
              lambda p: in_cylinder(s, p, (1, 1, 1)))
     for call in calls:
@@ -303,7 +304,7 @@ def product(a, b):
 def test_edge_matrix_is_identity_plus_winner_entries(name, dim):
     s = build(name, dim).system
     for i in range(len(s.edges)):
-        assert s.edge_matrix(i) == unipotent(s, i)
+        assert s.path_matrix([i]) == unipotent(s, i)
 
 
 @pytest.mark.parametrize("name,dim", MATRIX_SYSTEMS)
@@ -329,7 +330,7 @@ def test_act_is_right_multiplication_by_the_edge_matrix():
     s = build("brun", 3).system
     rows = [[3, 5, 7], [1, 0, 2]]
     for i in range(len(s.edges)):
-        m = s.edge_matrix(i)
+        m = unipotent(s, i)
         expected = [list(r) for r in product(tuple(map(tuple, rows)), m)]
         assert s.act(i, [list(r) for r in rows]) == expected
 

@@ -7,18 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcf.catalog import build
-from mcf.graph import SimplicialSystem, find_positive_path, mat_vec
+from mcf.graph import GraphError, find_positive_path, mat_vec
 from mcf.induction import (
     BoundaryTieError,
-    birkhoff_contraction,
-    code_point,
-    hilbert_distance,
     in_cylinder,
     induced_step,
-    normalize,
     orbit,
-    path_norm_ratio,
-    step,
 )
 from mcf.thermo import build_induced_alphabet
 
@@ -27,16 +21,19 @@ def gauss():
     return build("gauss").system
 
 
-def test_normalize_reject_nonpositive_mass():
-    from mcf.graph import GraphError
+def orbit_labels(system, vertex, point, n):
+    """Label sequence of the first n induction steps."""
+    return tuple(r.edge_label for r in orbit(system, vertex, point, n)[2])
 
-    with pytest.raises(GraphError):
-        normalize((0, 0))
+
+def test_normalize_reject_nonpositive_mass():
+    with pytest.raises(GraphError, match="positive total mass"):
+        orbit(gauss(), "v", (0, 0), 1)
 
 
 def test_step_is_subtract_smaller_from_larger():
     s = gauss()
-    v, p, rec = step(s, "v", (Fraction(7), Fraction(3)))
+    v, p, (rec,) = orbit(s, "v", (Fraction(7), Fraction(3)), 1)
     assert p == (Fraction(4, 7), Fraction(3, 7))
     assert rec.edge_label == "2"
     assert rec.norm_ratio == Fraction(7, 10)
@@ -45,7 +42,7 @@ def test_step_is_subtract_smaller_from_larger():
 def test_step_tie_raises():
     s = gauss()
     with pytest.raises(BoundaryTieError):
-        step(s, "v", (1, 1))
+        orbit(s, "v", (1, 1), 1)
 
 
 def test_orbit_three_letter_example():
@@ -67,7 +64,7 @@ def test_roof_is_minus_log_mass_ratio():
 
 def test_code_point_matches_orbit_labels():
     s = gauss()
-    assert code_point(s, "v", (2, 7), 4) == ("1", "1", "1", "2")
+    assert orbit_labels(s, "v", (2, 7), 4) == ("1", "1", "1", "2")
 
 
 def test_in_cylinder_consistent_with_coding():
@@ -75,7 +72,7 @@ def test_in_cylinder_consistent_with_coding():
     x = (Fraction(2), Fraction(7))
     path = []
     v = "v"
-    for lab in code_point(s, v, x, 4):
+    for lab in orbit_labels(s, v, x, 4):
         i = s.edge_by_label(v, lab)
         path.append(i)
         v = s.edges[i].dst
@@ -85,14 +82,14 @@ def test_in_cylinder_consistent_with_coding():
 
 
 def test_path_norm_ratio_telescopes():
+    # the end point p of a unit-mass x satisfies x = M p / |M p| for the
+    # path matrix M, so the steps' mass ratios multiply to 1 / |M p|
     s = gauss()
-    x = (Fraction(2), Fraction(7))
-    _, _, records = orbit(s, "v", x, 4)
-    path = [r.edge for r in records]
-    prod = Fraction(1)
-    for r in records:
-        prod *= r.norm_ratio
-    assert path_norm_ratio(s, path, x) == prod
+    x = (Fraction(2, 9), Fraction(7, 9))
+    _, p, records = orbit(s, "v", x, 4)
+    pulled = mat_vec(s.path_matrix([r.edge for r in records]), p)
+    assert pulled == tuple(c * sum(pulled) for c in x)
+    assert math.prod(r.norm_ratio for r in records) == 1 / sum(pulled)
 
 
 def test_induced_step_greedy_parse_round_trip():
@@ -107,7 +104,7 @@ def test_induced_step_greedy_parse_round_trip():
     for k in range(1, len(joined) - len(star) + 1):
         assert joined[k:k + len(star)] != star
     # the consumed path is an actual orbit prefix of the original point
-    full = code_point(s, "v", x, len(star) + len(word) + len(star))
+    full = orbit_labels(s, "v", x, len(star) + len(word) + len(star))
     assert full == star + word + star
     assert 0 < ratio < 1
 
@@ -148,7 +145,6 @@ def test_induced_step_equals_a_replay(name, dim):
         # returns are detected on edges, so the walk is back at base
         v, p, records = orbit(s, base, y, len(gamma) + len(word))
         assert (v, p) == (base, point)
-        assert ratio == path_norm_ratio(s, [r.edge for r in records], y)
         assert ratio == math.prod(r.norm_ratio for r in records)
         checked += 1
     assert checked >= 10
@@ -182,38 +178,8 @@ def test_tie_message_names_the_normalised_value():
     s = build("brun", 3).system
     with pytest.raises(BoundaryTieError, match="tied minimum 1/3 among out-labels"):
         orbit(s, s.vertices[0], (1, 1, 2), 3)
-    # a single step reports the coordinate of the point it was given
-    with pytest.raises(BoundaryTieError, match="tied minimum 3 among out-labels of 'v'"):
-        step(gauss(), "v", (3, 3))
-
-
-def test_hilbert_distance_projective_and_positive():
-    assert hilbert_distance((1, 2), (2, 4)) == 0
-    assert hilbert_distance((1, 0), (1, 1)) == math.inf
-    d = hilbert_distance((1, 3), (2, 1))
-    assert math.isclose(d, math.log(6))
-
-
-def test_birkhoff_oracle_values():
-    # diameter of the image cone of [[1,1],[1,2]]: log cross-ratio of columns
-    m = ((1, 1), (1, 2))
-    d = hilbert_distance((1, 1), (1, 2))
-    assert math.isclose(birkhoff_contraction(m), math.tanh(d / 4))
-    assert birkhoff_contraction(((1, 0), (0, 1))) == 1.0
-
-
-@given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 50),
-       st.integers(1, 50))
-@settings(max_examples=30, deadline=None)
-def test_birkhoff_contracts_hilbert_distance(a, b, c, d):
-    m = ((a, b), (c, d))
-    k = birkhoff_contraction(m)
-    v, w = (3, 11), (9, 2)
-    mv = tuple(m[i][0] * v[0] + m[i][1] * v[1] for i in range(2))
-    mw = tuple(m[i][0] * w[0] + m[i][1] * w[1] for i in range(2))
-    d0 = hilbert_distance(v, w)
-    d1 = hilbert_distance(mv, mw)
-    assert d1 <= k * d0 + 1e-9
+    with pytest.raises(BoundaryTieError, match="tied minimum 1/2 among out-labels of 'v'"):
+        orbit(gauss(), "v", (3, 3), 1)
 
 
 @given(st.integers(1, 10**6), st.integers(1, 10**6))
@@ -222,7 +188,30 @@ def test_gauss_orbit_is_subtractive_euclid(p, q):
     if p == q:
         return
     s = gauss()
-    v, pt, rec = step(s, "v", (p, q))
+    v, pt, rec = orbit(s, "v", (p, q), 1)
     expect = (p - q, q) if p > q else (p, q - p)
     total = sum(expect)
     assert pt == (Fraction(expect[0], total), Fraction(expect[1], total))
+
+
+def test_induction_rejects_a_bad_point_or_start_vertex():
+    # a short point once ended in an IndexError, a long one was read as if
+    # its extra coordinates were not there, and an unknown vertex ended in a
+    # KeyError
+    s = build("brun", 3).system
+    v = s.vertices[0]
+    gamma = find_positive_path(s)
+    base = s.edges[gamma[0]].src
+    for point in ((1, 2), (1, 2, 3, 4)):
+        calls = (lambda: orbit(s, v, point, 3),
+                 lambda: orbit(s, v, point, 0),
+                 lambda: in_cylinder(s, [s.out_edges(v)[0]], point),
+                 lambda: induced_step(s, base, point, gamma))
+        for call in calls:
+            with pytest.raises(GraphError, match=f"point has {len(point)} "
+                               "coordinates, the system 3 letters"):
+                call()
+    with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
+        orbit(s, "nowhere", (1, 2, 3), 3)
+    with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
+        induced_step(s, "nowhere", (1, 2, 3), gamma)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mcf import stochastic
 from mcf.catalog import build
-from mcf.graph import GraphError, SimplicialSystem, vec_mat
+from mcf.graph import GraphError, SimplicialSystem
 from mcf.stochastic import (
     Jump,
     JumpCoord,
@@ -24,7 +24,6 @@ from mcf.stochastic import (
     edge_law,
     estimate_order_prob,
     make_rng,
-    path_probability,
     sample_simplex_integers,
     sample_walk,
 )
@@ -98,19 +97,26 @@ def test_cylinder_measure_base_value():
     )
 
 
+def path_probability(system, path, q):
+    """Chance that a q-walk follows the given path: N(q)/N(q M_gamma)."""
+    return cylinder_measure(system, path, q) / cylinder_measure(system, (), q)
+
+
 def test_path_probability_matches_measure_ratio():
+    # the product of the walk's edge laws along the path
     s = brun3()
     v = s.vertices[0]
     path = []
     cur = v
+    q = [Fraction(c) for c in (1, 2, 3)]
+    chance = Fraction(1)
     for _ in range(3):
         i = s.out_edges(cur)[0]
+        chance *= edge_law(s, cur, q)[i]
+        s.act(i, [q])
         path.append(i)
         cur = s.edges[i].dst
-    q = (1, 2, 3)
-    assert path_probability(s, path, q) == cylinder_measure(
-        s, path, q
-    ) / cylinder_measure(s, [], q)
+    assert path_probability(s, path, (1, 2, 3)) == chance
 
 
 @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 200))
@@ -127,11 +133,11 @@ def test_chain_rule_exact(qa, qb, walk_seed):
     q = (qa, qb)
     for cut in range(len(path) + 1):
         g1, g2 = path[:cut], path[cut:]
-        m1 = s.path_matrix(g1)
+        q1 = list(q)
+        for i in g1:
+            s.act(i, [q1])
         lhs = path_probability(s, path, q)
-        rhs = path_probability(s, g1, q) * path_probability(
-            s, g2, vec_mat(q, m1)
-        )
+        rhs = path_probability(s, g1, q) * path_probability(s, g2, q1)
         assert lhs == rhs
 
 
@@ -369,7 +375,7 @@ def test_batch_code_points_bits_stay_in_int64():
 
 
 def test_batch_code_points_matches_exact_coding():
-    from mcf.induction import code_point
+    from mcf.induction import orbit
 
     s = gauss()
     rec = batch_code_points(s, "v", 6, 50, seed=8, bits=16)
@@ -385,7 +391,7 @@ def test_batch_code_points_matches_exact_coding():
         if (row == -2).any():
             continue
         labels = tuple(s.alphabet[int(c)] for c in row)
-        assert code_point(s, "v", pt, 6) == labels
+        assert tuple(r.edge_label for r in orbit(s, "v", pt, 6)[2]) == labels
 
 
 def _replay_until_hole(s, vertex, row):
@@ -491,6 +497,13 @@ def test_engines_reject_a_q0_of_the_wrong_length(q0):
         with pytest.raises(GraphError, match=match):
             estimate_order_prob(s, v, q0, Lose("3"), Win("3"), 10, 1,
                                 engine=engine)
+    # the exact measures: a long q once gave a result, a short one an
+    # IndexError or, on the empty path, a wrong mass
+    match = f"q has {len(q0)} coordinates, the system 3 letters"
+    with pytest.raises(GraphError, match=match):
+        edge_law(s, v, q0)
+    with pytest.raises(GraphError, match=match):
+        cylinder_measure(s, [], q0)
 
 
 def test_code_blocks_do_not_change_the_coding(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from mcf.catalog import build
 from mcf.graph import GraphError, SimplicialSystem, find_positive_path
 from mcf.thermo import (
+    Letter,
+    _power_log_radius,
+    _pressure,
     asymptotic_gasket_bound,
     build_induced_alphabet,
     hausdorff_bound,
     loop_words,
-    partition_sum,
-    perron_value,
     pressure_analysis,
     solve_kappa,
     tuple_log_radii,
@@ -30,13 +31,19 @@ def gauss_star():
     return s, g
 
 
+def log_radius(matrix):
+    """log spectral radius of one matrix, as the radius of a one-letter
+    alphabet."""
+    return float(tuple_log_radii([Letter((), (), matrix)], 1)[0])
+
+
 def test_perron_oracle_fibonacci_square():
     lam = (3 + math.sqrt(5)) / 2
-    assert math.isclose(perron_value(((1, 1), (1, 2))), math.log(lam), rel_tol=1e-9)
+    assert math.isclose(log_radius(((1, 1), (1, 2))), math.log(lam), rel_tol=1e-9)
 
 
 def test_perron_rank_one():
-    assert math.isclose(perron_value(((1, 1), (1, 1))), math.log(2), rel_tol=1e-9)
+    assert math.isclose(log_radius(((1, 1), (1, 1))), math.log(2), rel_tol=1e-9)
 
 
 def test_perron_permutation_similarity_invariant():
@@ -45,17 +52,18 @@ def test_perron_permutation_similarity_invariant():
     p = ((m[1][1], m[1][2], m[1][0]),
          (m[2][1], m[2][2], m[2][0]),
          (m[0][1], m[0][2], m[0][0]))
-    assert math.isclose(perron_value(m), perron_value(p), rel_tol=1e-9)
+    assert math.isclose(log_radius(m), log_radius(p), rel_tol=1e-9)
 
 
 def test_perron_rejects_zero_matrix():
-    with pytest.raises(GraphError):
-        perron_value(((0, 0), (0, 0)))
+    with pytest.raises(GraphError, match="not primitive"):
+        _power_log_radius(np.zeros((2, 2, 1)))
 
 
 def test_perron_raises_when_the_iteration_cap_is_reached():
+    stack = np.array([[1.0, 1.0], [1.0, 2.0]])[:, :, None]
     with pytest.raises(GraphError, match="did not converge"):
-        perron_value(((1, 1), (1, 2)), max_iter=1)
+        _power_log_radius(stack, max_iter=1)
 
 
 def restricted_gasket():
@@ -114,12 +122,6 @@ def test_thermo_inputs_raise_graph_errors_for_an_empty_gamma_star():
 def test_hausdorff_bound_rejects_an_empty_alphabet():
     with pytest.raises(GraphError, match="alphabet size must be positive"):
         hausdorff_bound(2.0, 0)
-
-
-@pytest.mark.parametrize("matrix", [((1, 2, 3), (4, 5, 6)), ((1, 2), (3,)), (1, 2), ()])
-def test_perron_value_rejects_a_matrix_that_is_not_square(matrix):
-    with pytest.raises(GraphError, match="square"):
-        perron_value(matrix)
 
 
 def brute_force_loops(s, base, L, avoid, allowed):
@@ -244,12 +246,17 @@ def test_letters_are_positive_matrices():
         assert all(x > 0 for row in letter.matrix for x in row)
 
 
+def pressure_at(letters, n, kappa):
+    """(1/n) log Z_n at inverse dimension parameter kappa."""
+    return _pressure(tuple_log_radii(letters, n), n)(kappa)[0]
+
+
 def test_partition_sum_at_zero_counts_tuples():
     s, g = gauss_star()
     letters = build_induced_alphabet(s, g, 2)
     for n in (1, 2):
         assert math.isclose(
-            partition_sum(letters, n, 0.0), math.log(len(letters) ** n) / n
+            pressure_at(letters, n, 0.0), math.log(len(letters) ** n) / n
         )
 
 
@@ -257,14 +264,15 @@ def test_partition_sum_single_letter_oracle():
     s, g = gauss_star()
     letters = [build_induced_alphabet(s, g, 0)[0]]  # just gamma_star
     assert letters[0].word_labels == ()
-    lam = perron_value(letters[0].matrix)
-    assert math.isclose(partition_sum(letters, 1, 1.0), -lam, rel_tol=1e-9)
+    assert letters[0].matrix == ((1, 1), (1, 2))
+    lam = math.log((3 + math.sqrt(5)) / 2)
+    assert math.isclose(pressure_at(letters, 1, 1.0), -lam, rel_tol=1e-9)
 
 
 def test_partition_sum_decreasing_in_kappa():
     s, g = gauss_star()
     letters = build_induced_alphabet(s, g, 4)
-    vals = [partition_sum(letters, 1, k) for k in (0.5, 1.0, 2.0, 4.0)]
+    vals = [pressure_at(letters, 1, k) for k in (0.5, 1.0, 2.0, 4.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
