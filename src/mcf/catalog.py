@@ -21,7 +21,8 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .graph import MAX_CRITERION_ALPHABET, GraphError, SimplicialSystem
-from .induction import BoundaryTieError, HoleReachedError, _advance, _integer_point
+from .induction import BoundaryTieError, HoleReachedError, _advance
+from .stochastic import make_rng, sample_simplex_integers
 
 
 class DomainEscape(RuntimeError):
@@ -595,46 +596,35 @@ def _projectively_equal(a, b):
     return all(x * b[k] == y * a[k] for x, y in zip(a, b))
 
 
-def sample_domain_point(named, rng, bits=62, max_tries=10000):
-    """Exact interior point of the reference domain, as an integer tuple."""
-    from .stochastic import sample_simplex_integers
-
-    for _ in range(max_tries):
+def sample_domain_point(named, rng, bits=62):
+    """Exact interior point of the reference domain, as an integer tuple
+    ``x``, with its embedding: ``(x, vertex, y)`` for ``named.embed(x)``."""
+    for _ in range(10000):  # draws before giving up
         x = sample_simplex_integers(rng, named.dim, bits)
         if named.in_domain(x):
             try:
-                named.embed(x)
+                return (x, *named.embed(x))
             except (BoundaryTieError, GraphError):
                 continue
-            return x
     raise GraphError("could not sample a domain point")
 
 
-def conjugacy_check(named, trials=100, steps=20, seed=0, bits=62):
+def conjugacy_check(named, trials=100, steps=20, seed=0):
     """Compare graph induction with the classical map, exactly.
 
     Each trial embeds a sampled point, alternates section returns of the
     induction with reference steps of the classical map, and requires exact
     projective agreement after every return.  Boundary ties abandon a trial.
+    The points are drawn from ``make_rng(seed)``.
     """
-    import numpy as np
-
-    if not 0 <= seed < 1 << 128:
-        raise GraphError(f"seed must be in 0..2**128-1, got {seed}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = make_rng(seed)
     agreements = 0
     ties = 0
     escapes = 0
     failures = []
     for t in range(trials):
-        x = sample_domain_point(named, rng, bits)
-        try:
-            v, y = named.embed(x)
-            y, _ = _integer_point(y)
-        except BoundaryTieError:
-            ties += 1
-            continue
-        ref = tuple(x)
+        x, v, y = sample_domain_point(named, rng)
+        ref = x
         ok = True
         try:
             for k in range(steps):

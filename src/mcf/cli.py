@@ -13,14 +13,13 @@ import csv
 import io
 import json
 import secrets
-import sys
 from fractions import Fraction
 
 import click
 import numpy as np
 
 from . import __version__
-from .catalog import DomainEscape, build, catalog_entries, conjugacy_check
+from .catalog import build, catalog_entries, conjugacy_check
 from .graph import GraphError, SimplicialSystem, check_non_degenerating
 from .induction import BoundaryTieError, HoleReachedError, orbit
 from .stochastic import (
@@ -42,6 +41,17 @@ class StrictFailure(click.ClickException):
     exit_code = 3
 
 
+class _Main(click.Group):
+    """The ``mcf`` group: the library's input errors end every command with
+    exit 2 and their own message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (GraphError, BoundaryTieError, HoleReachedError) as exc:
+            raise DomainFailure(str(exc)) from exc
+
+
 def _load_system(graph, catalog, dim):
     """Returns (SimplicialSystem, NamedSystem-or-None, source description)."""
     if graph and catalog:
@@ -56,10 +66,7 @@ def _load_system(graph, catalog, dim):
                 "JSON produced by `mcf validate --format json`"
             )
     if catalog:
-        try:
-            named = build(catalog, dim)
-        except GraphError as exc:
-            raise DomainFailure(str(exc))
+        named = build(catalog, dim)
         return named.system, named, f"{catalog}({named.dim})"
     raise DomainFailure("a graph source is required: --graph FILE or --catalog NAME")
 
@@ -134,7 +141,7 @@ def graph_options(f):
     return f
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Exact win-lose induction on labeled graphs: validation, simulation,
@@ -168,10 +175,7 @@ def validate(graph, catalog_name, dim, out, fmt):
 def criterion(graph, catalog_name, dim, out, fmt, strict):
     """Decide the graph-theoretic non-degeneracy criterion."""
     system, _, source = _load_system(graph, catalog_name, dim)
-    try:
-        report = check_non_degenerating(system)
-    except GraphError as exc:
-        raise DomainFailure(str(exc))
+    report = check_non_degenerating(system)
     payload = _base("criterion", source=source, strict=strict)
     payload.update(report.to_dict())
     _emit(payload, out, fmt)
@@ -202,10 +206,7 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
                             "which must stay below 2**64")
     base_vertex = system.vertices[0]
     q = _parse_point(q0, system.dim) if q0 else tuple([1] * system.dim)
-    try:
-        rec = batch_record_paths(system, base_vertex, q, n_steps, trials, seed)
-    except GraphError as exc:
-        raise DomainFailure(str(exc))
+    rec = batch_record_paths(system, base_vertex, q, n_steps, trials, seed)
     losses = np.zeros((trials, system.dim), dtype=bool)
     for a in range(system.dim):
         losses[:, a] = (rec == a).any(axis=1)
@@ -246,16 +247,9 @@ def walk(graph, catalog_name, dim, point, vertex, n_steps, out):
     system, _, source = _load_system(graph, catalog_name, dim)
     x = _parse_point(point, system.dim)
     v = vertex or system.vertices[0]
-    if v not in system.vertices:
-        raise DomainFailure(f"unknown vertex {v!r}")
     lines = [json.dumps(_base("walk", source=source, point=point, vertex=v,
                               n=n_steps), sort_keys=True)]
-    try:
-        cur_v, cur_x, records = orbit(system, v, x, n_steps)
-    except BoundaryTieError as exc:
-        raise DomainFailure(f"orbit hit a boundary tie: {exc}")
-    except HoleReachedError as exc:
-        raise DomainFailure(str(exc))
+    cur_v, cur_x, records = orbit(system, v, x, n_steps)
     for rec in records:
         lines.append(json.dumps(rec.to_dict(), sort_keys=True))
     lines.append(json.dumps(
@@ -279,8 +273,7 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
     """Exact cylinder measures of labeled paths."""
     system, _, source = _load_system(graph, catalog_name, dim)
     v = vertex or system.vertices[0]
-    if v not in system.vertices:
-        raise DomainFailure(f"unknown vertex {v!r}")
+    system.out_edges(v)  # raises on an unknown vertex, also for --n 0
     q = _parse_point(q0, system.dim) if q0 else tuple([1] * system.dim)
     payload = _base("measure", source=source, vertex=v, path=path_text,
                     n=depth, q0=[str(c) for c in q])
@@ -288,10 +281,7 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
     def resolve(labels):
         cur, idxs = v, []
         for lab in labels:
-            try:
-                e = system.edge_by_label(cur, lab)
-            except GraphError as exc:
-                raise DomainFailure(str(exc))
+            e = system.edge_by_label(cur, lab)
             idxs.append(e)
             cur = system.edges[e].dst
         return idxs
@@ -344,10 +334,7 @@ def conjugacy(graph, catalog_name, dim, seed, trials, n_steps, out, strict):
                             "reference map is part of the catalog entry)")
     _, named, source = _load_system(None, catalog_name, dim)
     seed = _resolve_seed(seed)
-    try:
-        result = conjugacy_check(named, trials=trials, steps=n_steps, seed=seed)
-    except GraphError as exc:
-        raise DomainFailure(str(exc))
+    result = conjugacy_check(named, trials=trials, steps=n_steps, seed=seed)
     payload = _base("conjugacy", source=source, seed=seed, trials=trials,
                     n=n_steps, strict=strict)
     payload.update(result)
@@ -358,10 +345,7 @@ def conjugacy(graph, catalog_name, dim, seed, trials, n_steps, out, strict):
 
 
 def _pressure_payload(command, system, source, L, n, allowed_edges, strict):
-    try:
-        est = pressure_analysis(system, L, n, allowed_edges=allowed_edges)
-    except GraphError as exc:
-        raise DomainFailure(str(exc))
+    est = pressure_analysis(system, L, n, allowed_edges=allowed_edges)
     payload = _base(command, source=source, L=L, n=n,
                     restricted=allowed_edges is not None, strict=strict)
     payload.update(est.to_dict())

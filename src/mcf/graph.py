@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
 
 MAX_CRITERION_ALPHABET = 16
+# Longest loop that ``find_positive_path`` searches for.
+MAX_POSITIVE_LOOP = 64
 
 
 class GraphError(ValueError):
@@ -49,7 +50,7 @@ class SimplicialSystem:
             for e in edges
         )
         self.label_index = {a: i for i, a in enumerate(self.alphabet)}
-        self._vertex_set = set(self.vertices)
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
         self.out = {v: [] for v in self.vertices}
         self._validate()
         for i, e in enumerate(self.edges):
@@ -63,13 +64,13 @@ class SimplicialSystem:
             raise GraphError("empty alphabet")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise GraphError("duplicate letters in alphabet")
-        if len(self._vertex_set) != len(self.vertices):
+        if len(self.vertex_index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
         seen = set()
         for e in self.edges:
-            if e.src not in self._vertex_set:
+            if e.src not in self.vertex_index:
                 raise GraphError(f"edge source {e.src!r} is not a vertex")
-            if e.dst not in self._vertex_set:
+            if e.dst not in self.vertex_index:
                 raise GraphError(f"edge target {e.dst!r} is not a vertex")
             if e.label not in self.label_index:
                 raise GraphError(f"edge label {e.label!r} is not in the alphabet")
@@ -87,7 +88,7 @@ class SimplicialSystem:
         return len(self.alphabet)
 
     def out_edges(self, v):
-        if v not in self._vertex_set:
+        if v not in self.vertex_index:
             raise GraphError(f"unknown vertex {v!r}")
         return self.out[v]
 
@@ -178,8 +179,8 @@ class SimplicialSystem:
             "edges": [e.to_dict() for e in self.edges],
         }
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d):
@@ -412,10 +413,11 @@ def check_non_degenerating(system):
     )
 
 
-def find_positive_path(system, start=None, max_length=64, allowed_edges=None):
+def find_positive_path(system, allowed_edges=None):
     """Shortest loop whose matrix product is entrywise positive.
 
-    Breadth-first search over (vertex, positivity pattern) states.  A pattern
+    Breadth-first search over (vertex, positivity pattern) states, from each
+    vertex in turn, up to ``MAX_POSITIVE_LOOP`` edges.  A pattern
     holds the rows of the product as bitmasks, and an edge acts on it as on
     numbers: a row gains the loser column when it meets any competing
     column.  With ``allowed_edges`` the path is confined to those edges
@@ -425,14 +427,11 @@ def find_positive_path(system, start=None, max_length=64, allowed_edges=None):
     """
     n = system.dim
     full = tuple((1 << n) - 1 for _ in range(n))
-    starts = [start] if start is not None else list(system.vertices)
-    for s in starts:
-        if s not in system._vertex_set:
-            raise GraphError(f"unknown vertex {s!r}")
-        init = tuple(1 << j for j in range(n))
+    init = tuple(1 << j for j in range(n))
+    for s in system.vertices:
         seen = {(s, init)}
         frontier = [(s, init, [])]
-        for _ in range(max_length):
+        for _ in range(MAX_POSITIVE_LOOP):
             nxt = []
             for v, pat, path in frontier:
                 out = system.table[v]

@@ -129,23 +129,23 @@ def orbit(system, vertex, point, n):
 def in_cylinder(system, path, point):
     """Whether ``point`` belongs to the open cone spanned by a path's matrix.
 
-    Equivalent to strict positivity of the pulled-back coordinates; the edge
-    inverses are applied in path order, each subtracting the loser
-    coordinate from the winners.
+    Equivalent to strict positivity of the point and of its pulled-back
+    coordinates; the edge inverses are applied in path order, each
+    subtracting the loser coordinate from the winners.
     """
     system.check_path(path)
     system.check_point(point)
     cur, _ = _integer_point(point)
     for i in path:
+        if min(cur) <= 0:
+            return False
         e = system.edges[i]
         li = system.label_index[e.label]
         low = cur[li]
         for entry in system.table[e.src]:
             if entry[1] != li:
                 cur[entry[1]] -= low
-        if any(x <= 0 for x in cur):
-            return False
-    return True
+    return min(cur) > 0
 
 
 def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
@@ -170,6 +170,9 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     star = list(gamma_star)
     if not in_cylinder(system, gamma_star, point):
         raise GraphError("point is not in the inducing cylinder")
+    edges = system.edges
+    if not star or edges[star[0]].src != vertex or edges[star[-1]].dst != vertex:
+        raise GraphError(f"gamma_star must be a loop at {vertex!r}")
     table = system.table
     cur, _ = _integer_point(point)
     start = total = _mass(cur)

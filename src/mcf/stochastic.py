@@ -38,15 +38,23 @@ def make_rng(seed, stream=None):
 # -- exact samplers --------------------------------------------------------
 
 
-def sample_simplex_integers(rng, n, bits=62, max_tries=1000):
+def _check_composition(n, bits, max_bits):
+    """Reject a ``bits`` outside 1..max_bits, and n positive parts that 2**bits
+    cannot hold: n - 1 distinct cuts in 1..2**bits - 1 need n <= 2**bits."""
+    if not 1 <= bits <= max_bits:
+        raise GraphError(f"bits must be in 1..{max_bits}, got {bits}")
+    if n > 1 << bits:
+        raise GraphError(f"2**{bits} has no composition into {n} positive parts")
+
+
+def sample_simplex_integers(rng, n, bits=62):
     """Uniform composition of 2**bits into n positive parts (gap method).
 
     The cuts are drawn as int64, so ``bits`` runs from 1 to 63.
     """
-    if not 1 <= bits <= 63:
-        raise GraphError(f"bits must be in 1..63, got {bits}")
+    _check_composition(n, bits, 63)
     hi = 1 << bits
-    for _ in range(max_tries):
+    for _ in range(1000):  # draws before giving up
         cuts = sorted(int(c) for c in rng.integers(1, hi, size=n - 1))
         parts = []
         prev = 0
@@ -79,6 +87,8 @@ def cylinder_measure(system, path, q):
     """Projective mass of a path cylinder: (1/n!) prod_i 1/(q M_gamma)_i."""
     system.check_path(path)
     system.check_point(q, "q")
+    if any(c <= 0 for c in q):
+        raise GraphError("q must be positive")
     qm = [Fraction(c) for c in q]
     for i in path:
         system.act(i, [qm])
@@ -86,11 +96,10 @@ def cylinder_measure(system, path, q):
 
 
 def _cone_mass(qm):
-    """(1/n!) prod_i 1/qm_i: the mass of a cylinder whose q M_gamma is qm."""
+    """(1/n!) prod_i 1/qm_i: the mass of a cylinder whose q M_gamma is qm.
+    The edge action keeps a positive q positive."""
     out = Fraction(1, math.factorial(len(qm)))
     for c in qm:
-        if c <= 0:
-            raise GraphError("q must be positive")
         out /= c
     return out
 
@@ -201,7 +210,6 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
 
 def _walk(system, vertex, q0, stops, rng, max_steps, until):
     """``sample_walk`` that ends once ``until`` of the stops have fired."""
-    _vertex_index(system, vertex)
     system.check_point(q0, "q0")
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
@@ -358,7 +366,7 @@ class _PaddedTable(NamedTuple):
 
 
 def _padded_table(system):
-    index = {v: i for i, v in enumerate(system.vertices)}
+    index = system.vertex_index
     width = max(len(out) for out in system.table.values())
     label = np.full((width, len(index)), system.dim, dtype=np.int64)
     target = np.repeat(np.arange(len(index))[None, :], width, axis=0)
@@ -373,12 +381,6 @@ def _padded_table(system):
     # padding points back at its vertex too, but past the alphabet
     loop = (target == np.arange(len(index))) & (label < system.dim)
     return _PaddedTable(label, target, hole, loop if loop.any() else None)
-
-
-def _vertex_index(system, vertex):
-    if vertex not in system.vertices:
-        raise GraphError(f"unknown vertex {vertex!r}")
-    return system.vertices.index(vertex)
 
 
 class _Lanes:
@@ -557,7 +559,8 @@ def _q_lanes(system, vertex, q0, trials):
     q = np.array([float(c) for c in q0] + [0.0])
     if not (q[:-1] > 0).all():
         raise GraphError("q0 must be positive")
-    return _Lanes(_vertex_index(system, vertex), np.tile(q, (trials, 1)))
+    system.out_edges(vertex)  # raises on an unknown vertex
+    return _Lanes(system.vertex_index[vertex], np.tile(q, (trials, 1)))
 
 
 def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
@@ -645,13 +648,13 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     marked with -2 from the tie step onward, and trials in a hole with -1.
     The result is a view, the transpose of a step-major array.
     """
-    if not 1 <= bits <= 62:
-        raise GraphError(f"bits must be in 1..62, got {bits}")
+    n = system.dim
+    _check_composition(n, bits, 62)
     _non_negative(n_steps=n_steps, trials=trials)
-    start = _vertex_index(system, vertex)
+    system.out_edges(vertex)  # raises on an unknown vertex
+    start = system.vertex_index[vertex]
     rng = make_rng(seed)
     hi = 1 << bits
-    n = system.dim
 
     def compositions(k):
         cuts = rng.integers(1, hi, size=(k, n - 1))

@@ -271,13 +271,16 @@ def _pressure(log_radii, n):
     return pressure
 
 
-# Newton steps before the solve gives up; from the left end of the default
-# bracket it converges in about five.
+# Newton steps before the solve gives up, and the bracket that
+# ``pressure_analysis`` solves over; from its left end the solve converges in
+# about five steps.
 NEWTON_STEPS = 100
+KAPPA_BRACKET = (0.25, 16.0)
 
 
-def solve_kappa(letters, n, bracket=(0.25, 16.0), tol=1e-9, log_radii=None):
-    """Root of the truncated pressure in kappa, by Newton's method.
+def solve_kappa(log_radii, n, bracket=KAPPA_BRACKET, tol=1e-9):
+    """Root in kappa of the truncated pressure of the n-tuple log radii
+    ``log_radii`` (from ``tuple_log_radii``), by Newton's method.
 
     Every log radius is at least log d > 0, so the pressure is convex and
     strictly decreasing in kappa, and Newton steps from the left end of the
@@ -285,8 +288,6 @@ def solve_kappa(letters, n, bracket=(0.25, 16.0), tol=1e-9, log_radii=None):
     bracket endpoints are widened hints, not certificates: a root outside
     the bracket raises, and so does a solve that does not reach ``tol``.
     """
-    if log_radii is None:
-        log_radii = tuple_log_radii(letters, n)
     lo, hi = bracket
     pressure = _pressure(log_radii, n)
 
@@ -314,25 +315,22 @@ def solve_kappa(letters, n, bracket=(0.25, 16.0), tol=1e-9, log_radii=None):
     )
 
 
-def pressure_analysis(system, max_length, n, base=None, gamma_star=None,
-                      allowed_edges=None, bracket=(0.25, 16.0)):
+def pressure_analysis(system, max_length, n, gamma_star=None, allowed_edges=None):
     """End-to-end truncated pressure calibration.
 
     Finds a positive loop when none is given, builds the truncated induced
-    alphabet, and solves for the zero of the truncated pressure.
+    alphabet, and solves for the zero of the truncated pressure over
+    ``KAPPA_BRACKET``.
     """
     if gamma_star is None:
-        gamma_star = find_positive_path(
-            system, start=base, allowed_edges=allowed_edges
-        )
+        gamma_star = find_positive_path(system, allowed_edges=allowed_edges)
         if gamma_star is None:
             raise GraphError("no positive loop found")
     letters = build_induced_alphabet(
         system, gamma_star, max_length, allowed_edges
     )
     base = system.edges[gamma_star[0]].src
-    log_radii = tuple_log_radii(letters, n)
-    kappa, residual = solve_kappa(letters, n, bracket, log_radii=log_radii)
+    kappa, residual = solve_kappa(tuple_log_radii(letters, n), n)
     return PressureEstimate(
         kappa=kappa,
         n=n,
@@ -341,7 +339,7 @@ def pressure_analysis(system, max_length, n, base=None, gamma_star=None,
         base_vertex=base,
         gamma_star=system.path_labels(gamma_star),
         residual=residual,
-        bracket=tuple(bracket),
+        bracket=KAPPA_BRACKET,
         restricted=allowed_edges is not None,
     )
 

@@ -90,7 +90,7 @@ def test_cassaigne_step_commutes_with_reversal():
     c = build("cassaigne")
     rng = make_rng(12)
     for _ in range(50):
-        x = sample_domain_point(c, rng, bits=24)
+        x, _, _ = sample_domain_point(c, rng, bits=24)
         fx = c.reference_step(x)
         fr = c.reference_step(tuple(reversed(x)))
         assert tuple(reversed(fx)) == fr
@@ -112,8 +112,8 @@ def test_embed_project_round_trip(name, dim):
     named = build(name, dim)
     rng = make_rng(3)
     for _ in range(20):
-        x = sample_domain_point(named, rng, bits=24)
-        v, y = named.embed(x)
+        x, v, y = sample_domain_point(named, rng, bits=24)
+        assert (v, y) == named.embed(x)
         assert v in named.section
         assert all(k > 0 for k in y)
         px = named.project(v, y)
@@ -175,9 +175,9 @@ def test_conjugacy_exact(name, dim):
     assert r["tie_rate"] < 0.2
 
 
-def test_conjugacy_rejects_points_beyond_int64_cuts():
+def test_sample_domain_point_rejects_points_beyond_int64_cuts():
     with pytest.raises(GraphError, match="bits must be in 1..63"):
-        conjugacy_check(build("brun", 3), trials=2, steps=2, bits=80)
+        sample_domain_point(build("brun", 3), make_rng(0), bits=80)
 
 
 @pytest.mark.parametrize("a, b, equal", [

@@ -159,6 +159,22 @@ def test_walk_and_measure_negative_n_is_exit_2(runner, args):
     assert r.exit_code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["walk", "--catalog", "gauss", "--point", "2,7", "--vertex", "nowhere"],
+     "unknown vertex 'nowhere'"),
+    (["walk", "--catalog", "gauss", "--point", "3,3"],
+     "tied minimum 1/2 among out-labels of 'v'"),
+    (["walk", "--catalog", "arnoux-rauzy", "--dim", "3", "--point", "5,4,3"],
+     "vertex 'X:2,1,3:0' has no out-edges"),
+    (["measure", "--catalog", "gauss", "--vertex", "nowhere", "--n", "0"],
+     "unknown vertex 'nowhere'"),
+])
+def test_walk_and_measure_library_errors_are_exit_2(runner, args, message):
+    r = runner.invoke(main, args)
+    assert r.exit_code == 2
+    assert r.output == f"Error: {message}\n"
+
+
 def test_simulate_records_seed_and_is_reproducible(runner):
     a = invoke(runner, "simulate", "--catalog", "brun", "--dim", "3",
                "--seed", "7", "--trials", "200", "--n", "50")
@@ -200,13 +216,14 @@ def test_simulate_out_of_range_is_exit_2(runner, args):
     ["simulate", "--catalog", "brun", "--dim", "3", "--seed", str(2**64 - 1),
      "--tau", "2"],
     ["conjugacy", "--catalog", "gauss", "--seed", "-1"],
+    ["conjugacy", "--catalog", "gauss", "--seed", str(2**64)],
 ])
 def test_seeds_out_of_range_are_exit_2(runner, args):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = runner.invoke(main, [*args, "--trials", "10", "--n", "5"])
     assert r.exit_code == 2
-    assert "seed" in r.output
+    assert "seed" in r.output and "Traceback" not in r.output
     assert r.exception is None or isinstance(r.exception, SystemExit)
 
 
@@ -269,6 +286,8 @@ def test_dimension_command_reports_bound(runner):
 def test_pressure_out_of_range_is_exit_2(runner, args):
     r = runner.invoke(main, args)
     assert r.exit_code == 2
+    # the library's message names the rejected value
+    assert f"got {args[-1]}" in r.output and "Traceback" not in r.output
 
 
 @pytest.mark.parametrize("args", [

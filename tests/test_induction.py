@@ -81,6 +81,15 @@ def test_in_cylinder_consistent_with_coding():
     assert not in_cylinder(s, other, x)
 
 
+def test_in_cylinder_holds_only_positive_points():
+    # the empty path's cylinder is the open positive cone; a point with a
+    # zero or negative coordinate was once in it
+    s = build("brun", 3).system
+    assert in_cylinder(s, [], (1, 1, 1))
+    for x in ((-1, 1, 1), (0, 1, 1)):
+        assert not in_cylinder(s, [], x)
+
+
 def test_path_norm_ratio_telescopes():
     # the end point p of a unit-mass x satisfies x = M p / |M p| for the
     # path matrix M, so the steps' mass ratios multiply to 1 / |M p|
@@ -215,3 +224,20 @@ def test_induction_rejects_a_bad_point_or_start_vertex():
         orbit(s, "nowhere", (1, 2, 3), 3)
     with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
         induced_step(s, "nowhere", (1, 2, 3), gamma)
+
+
+def test_induced_step_rejects_a_vertex_that_is_not_the_loop_base():
+    # every other vertex once walked off and returned a "return word"
+    s = build("brun", 3).system
+    gamma = find_positive_path(s)
+    base = s.edges[gamma[0]].src
+    rng = random.Random(0)  # a point whose return has no tie
+    point = mat_vec(s.path_matrix(gamma), tuple(rng.getrandbits(400) + 1
+                                                for _ in range(3)))
+    induced_step(s, base, point, gamma)
+    for v in s.vertices:
+        if v != base:
+            with pytest.raises(GraphError, match=f"gamma_star must be a loop at {v!r}"):
+                induced_step(s, v, point, gamma)
+    with pytest.raises(GraphError, match="gamma_star must be a loop"):
+        induced_step(s, base, point, [])

@@ -80,6 +80,18 @@ def test_simplex_integers_bits_stay_in_int64_cuts():
             sample_simplex_integers(rng, 3, bits=bits)
 
 
+def test_compositions_need_as_many_units_as_parts():
+    # 2**1 has no three positive parts: the sampler once gave up after 1000
+    # draws and the coder redrew forever
+    match = "2\\*\\*1 has no composition into 3 positive parts"
+    with pytest.raises(GraphError, match=match):
+        sample_simplex_integers(make_rng(0), 3, bits=1)
+    with pytest.raises(GraphError, match=match):
+        batch_code_points(brun3(), brun3().vertices[0], 2, 3, 1, bits=1)
+    assert sample_simplex_integers(make_rng(0), 2, bits=1) == (1, 1)
+    assert (batch_code_points(gauss(), "v", 2, 3, 1, bits=1) == -2).all()
+
+
 def test_edge_law_exact():
     law = edge_law(gauss(), "v", (2, 3))
     assert law == {0: Fraction(2, 5), 1: Fraction(3, 5)}
@@ -437,6 +449,11 @@ def test_batch_engines_reject_a_non_positive_q0(q0):
         with pytest.raises(GraphError, match="q0 must be positive"):
             estimate_order_prob(s, v, q0, Jump(2), Win("1"), 10, 1,
                                 engine=engine)
+    # the exact measure: edge 2 once made (0, 1, 1) and (-1, 2, 3) positive
+    # and gave them a mass
+    for path in ([], [0], [2]):
+        with pytest.raises(GraphError, match="q must be positive"):
+            cylinder_measure(s, path, q0)
 
 
 def test_out_of_range_counts_raise():

@@ -280,13 +280,13 @@ def test_solve_kappa_root_property_and_bad_bracket():
     s, g = gauss_star()
     letters = build_induced_alphabet(s, g, 8)
     radii = tuple_log_radii(letters, 2)
-    kappa, residual = solve_kappa(letters, 2, log_radii=radii)
+    kappa, residual = solve_kappa(radii, 2)
     assert abs(residual) < 1e-6
     assert 1.5 < kappa < 2.0
     # the root lies below the first bracket and above the second
     for bracket in ((8.0, 16.0), (0.25, 1.0)):
         with pytest.raises(GraphError, match="no pressure sign change"):
-            solve_kappa(letters, 2, bracket=bracket, log_radii=radii)
+            solve_kappa(radii, 2, bracket=bracket)
 
 
 def bisection_kappa(radii, n, lo=0.25, hi=16.0):
@@ -320,7 +320,7 @@ def test_solve_kappa_matches_a_bisection_oracle(name, dim, L, n, restricted):
     g = find_positive_path(s, allowed_edges=allowed)
     letters = build_induced_alphabet(s, g, L, allowed)
     radii = tuple_log_radii(letters, n)
-    kappa, residual = solve_kappa(letters, n, log_radii=radii)
+    kappa, residual = solve_kappa(radii, n)
     assert abs(kappa - bisection_kappa(radii, n)) < 1e-9
     assert abs(residual) < 1e-9
     assert type(kappa) is float and type(residual) is float
@@ -330,7 +330,7 @@ def test_solve_kappa_raises_when_it_does_not_converge():
     s, g = gauss_star()
     letters = build_induced_alphabet(s, g, 8)
     with pytest.raises(GraphError, match=r"did not converge.*\|P\|"):
-        solve_kappa(letters, 2, tol=0.0)
+        solve_kappa(tuple_log_radii(letters, 2), 2, tol=0.0)
 
 
 def test_pressure_monotone_in_truncation_length():
