@@ -10,6 +10,7 @@ one and vectorized batch ones for large experiments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -271,8 +272,7 @@ def estimate_order_prob(
     _non_negative(max_steps=max_steps)
     stops = [stop_a, stop_b]
     if engine == "batch":
-        a, b = _fire_steps(system, vertex, q0, stops, trials, seed, max_steps,
-                           live=np.all)
+        a, b = _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, 1)
     elif engine == "exact":
         a, b = np.full((2, trials), -1, dtype=np.int64)
         for t in range(trials):
@@ -306,12 +306,14 @@ def estimate_order_prob(
 # The choosers sum, count and take minima column by column, left to right as
 # np.cumsum and argmin do, so every draw is that of a row-wise step.  Lanes
 # retire when they enter a hole, tie, or have nothing left to record, and
-# only then are the lane arrays compacted.  The recording engines fill a
-# step-major array and return its transpose.  ``batch_code_points`` walks
-# its lanes in blocks of ``_CODE_BLOCK``, which bound the step's temporaries
-# and, as its coding is exact, leave its output as it is.  A lane of
-# ``batch_fire_steps`` walks until all of its stops have fired, one of
-# ``estimate_order_prob`` until one has, since the order is decided then.
+# only then are the lane arrays compacted.  Every other reduction over a
+# lane's values, such as the max that rescales q, also runs column by column.
+# The recording engines fill a step-major array of ``_record_dtype`` and
+# return its transpose.  ``batch_code_points`` walks its lanes in blocks of
+# ``_CODE_BLOCK``, which bound the step's temporaries and, as its coding is
+# exact, leave its output as it is.  A lane of ``batch_fire_steps`` walks
+# until all of its stops have fired, one of ``estimate_order_prob`` until one
+# has, since the order is decided then.
 # Both run one firing loop on every graph.  Its chooser draws a self-loop
 # run's length only where the drawn slot is a self-loop, so on graphs without
 # them it draws ``_q_draw``'s stream; each lane counts its own steps.
@@ -551,7 +553,13 @@ class _RunDraw:
 
 def _halvings(q):
     """Per-lane power of two that brings max(q) into [1/2, 1), exactly."""
-    return -np.frexp(q.max(axis=1))[1][:, None]
+    return -np.frexp(functools.reduce(np.maximum, q.T))[1][:, None]
+
+
+def _record_dtype(system):
+    """Narrowest signed integer type that holds -2 and every label index:
+    int8 up to 128 letters."""
+    return np.min_scalar_type(-system.dim)
 
 
 def _q_lanes(system, vertex, q0, trials):
@@ -563,19 +571,18 @@ def _q_lanes(system, vertex, q0, trials):
     return _Lanes(system.vertex_index[vertex], np.tile(q, (trials, 1)))
 
 
-def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
+def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, until):
     """First firing step of each stop for each trial, -1 where it did not
-    fire.  A lane walks while ``live(pending, axis=1)`` holds for its row of
-    pending stops: ``np.any`` walks it until every stop has fired,
-    ``np.all`` until the first one has.  Each engine step draws a whole
-    self-loop run where the loser is a self-loop, so each lane counts its
-    own steps."""
+    fire.  A lane walks until ``until`` of its stops have fired, as
+    ``_walk`` does.  Each engine step draws a whole self-loop run where the
+    loser is a self-loop, so each lane counts its own steps."""
     # step counts are int64, and no walk takes 2**62 steps one at a time
     max_steps = min(max_steps, 2**62)
     table = _padded_table(system)
     lanes = _q_lanes(system, vertex, q0, trials)
     lanes.q0 = lanes.vals[:, :-1].copy()
     lanes.pending = np.ones((trials, len(stops)), dtype=bool)
+    lanes.hits = np.zeros(trials, dtype=np.int64)
     draw = _RunDraw(make_rng(seed), table, lanes, max_steps)
     every = _rescale_every(len(table.label), 1 + min(max_steps, _RUN_CAP))
     index = system.label_index
@@ -592,17 +599,14 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, live):
             lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
             draw.rescale(e[:, 0])
         walks = Walks(lanes.vals, lanes.q0, loser, present, lanes.step)
-        capped = lanes.step >= max_steps
-        retire = capped.any()
         for j, s in enumerate(stops):
             hit = lanes.pending[:, j] & s.fires(walks, index)
             if hit.any():
                 at = draw.first_fire(s, walks, index, hit)
                 fired[j, lanes.trial[hit]] = at
                 lanes.pending[hit, j] = False
-                retire = True
-        if retire:
-            lanes.keep(live(lanes.pending, axis=1) & ~capped)
+                lanes.hits += hit
+        lanes.keep((lanes.hits < until) & (lanes.step < max_steps))
         if not lanes.trial.size:
             break
     return fired
@@ -618,20 +622,21 @@ def batch_fire_steps(system, vertex, q0, stops, trials, seed, max_steps):
     """
     _non_negative(max_steps=max_steps, trials=trials)
     return _fire_steps(system, vertex, q0, stops, trials, seed, max_steps,
-                       live=np.any)
+                       len(stops))
 
 
 def batch_record_paths(system, vertex, q0, n_steps, trials, seed):
     """Loser label indices of the first n_steps steps of q-walks, vectorized;
     -1 from the step at which a walk sits in a hole.  The result is a view,
-    the transpose of a step-major array.
+    the transpose of a step-major array of ``_record_dtype``: int8 up to 128
+    letters.
     """
     _non_negative(n_steps=n_steps, trials=trials)
     table = _padded_table(system)
     draw = _q_draw(make_rng(seed))
     lanes = _q_lanes(system, vertex, q0, trials)
     every = _rescale_every(len(table.label), 1)
-    rec = np.full((n_steps, trials), -1, dtype=np.int64)
+    rec = np.full((n_steps, trials), -1, dtype=_record_dtype(system))
     for step in range(n_steps):
         if step % every == 0:
             lanes.vals = np.ldexp(lanes.vals, _halvings(lanes.vals))
@@ -646,7 +651,9 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     ever decreases coordinates so int64 arithmetic stays exact; 2**bits must
     fit in int64, so ``bits`` runs from 1 to 62.  Trials that hit a tie are
     marked with -2 from the tie step onward, and trials in a hole with -1.
-    The result is a view, the transpose of a step-major array.
+    The result is a view, the transpose of a step-major array of
+    ``_record_dtype``: int8 up to 128 letters.  The points are built and
+    checked column by column from the sorted cuts.
     """
     n = system.dim
     _check_composition(n, bits, 62)
@@ -659,20 +666,29 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     def compositions(k):
         cuts = rng.integers(1, hi, size=(k, n - 1))
         cuts.sort(axis=1)
-        return np.diff(cuts, axis=1, prepend=0, append=hi)
+        ends = [0, *cuts.T, hi]
+        pts = np.empty((k, n), dtype=np.int64)
+        for col, right, left in zip(pts.T, ends[1:], ends):
+            np.subtract(right, left, out=col)
+        return pts
+
+    def nonpositive(pts):
+        return functools.reduce(np.logical_or, (c <= 0 for c in pts.T))
 
     pts = compositions(trials)
-    bad = (pts <= 0).any(axis=1)
+    bad = nonpositive(pts)
     while bad.any():
         pts[bad] = compositions(int(bad.sum()))
-        bad = (pts <= 0).any(axis=1)
+        bad = nonpositive(pts)
 
     table = _padded_table(system)
-    rec = np.full((n_steps, trials), -1, dtype=np.int64)
+    rec = np.full((n_steps, trials), -1, dtype=_record_dtype(system))
+    vals = np.empty((min(trials, _CODE_BLOCK), n + 1), dtype=np.int64)
     for lo in range(0, trials, _CODE_BLOCK):
         block = rec[:, lo:lo + _CODE_BLOCK]
-        lanes = _Lanes(start, np.pad(pts[lo:lo + _CODE_BLOCK], ((0, 0), (0, 1)),
-                                     constant_values=_NEVER_MIN))
+        lanes = _Lanes(start, vals[:block.shape[1]])
+        lanes.vals[:, :-1] = pts[lo:lo + _CODE_BLOCK]
+        lanes.vals[:, -1] = _NEVER_MIN
         for step in range(n_steps):
             block[step, lanes.trial] = _step(table, lanes, _exact_min)[1]
             # a tie at the minimum leaves a zero coordinate behind

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -380,7 +381,7 @@ def test_batch_code_points_marks_ties_not_codes():
 def test_batch_code_points_bits_stay_in_int64():
     # 2**63 itself does not fit in int64: the points would turn float64
     s = brun3()
-    assert batch_code_points(s, s.vertices[0], 3, 4, 1, bits=62).dtype == np.int64
+    assert batch_code_points(s, s.vertices[0], 3, 4, 1, bits=62).dtype == np.int8
     for bits in (0, 63, 64):
         with pytest.raises(GraphError, match="bits must be in 1..62"):
             batch_code_points(s, s.vertices[0], 3, 4, 1, bits=bits)
@@ -404,6 +405,53 @@ def test_batch_code_points_matches_exact_coding():
             continue
         labels = tuple(s.alphabet[int(c)] for c in row)
         assert tuple(r.edge_label for r in orbit(s, "v", pt, 6)[2]) == labels
+
+
+def test_records_widen_past_128_letters():
+    # an int8 record would wrap labels 128 and 129 to -128 and -127
+    from mcf.induction import orbit
+
+    letters = [str(a) for a in range(130)]
+    s = SimplicialSystem(letters, ["v"], [("v", "v", a) for a in letters])
+    q0 = [1] * 130
+    q0[128] = 2**40  # letter 128 all but surely loses at every step
+    rec = batch_record_paths(s, "v", q0, 5, 50, 1)
+    assert rec.dtype == np.int16
+    assert (rec == 128).all()
+    code = batch_code_points(s, "v", 3, 200, 2, bits=40)
+    assert code.dtype == np.int16
+    assert (code >= 128).any()
+    # regenerate the same points from the same stream: 129 distinct cuts
+    cuts = np.sort(make_rng(2).integers(1, 1 << 40, size=(200, 129)), axis=1)
+    assert (np.diff(cuts, axis=1) > 0).all()
+    for row, c in zip(code, cuts):
+        pt = np.diff(c, prepend=0, append=1 << 40).tolist()
+        labels = [s.label_index[r.edge_label] for r in orbit(s, "v", pt, 3)[2]]
+        assert row.tolist() == labels
+
+
+def _peak_mb(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_path_records_take_one_byte_per_label():
+    # an int64 record of 100 steps x 2e4 walks alone takes 16 MB, int8 2 MB
+    s = brun3()
+    v = s.vertices[0]
+    assert _peak_mb(lambda: batch_record_paths(s, v, (1, 1, 1), 100,
+                                               2 * 10**4, 1)) < 10
+
+
+def test_coded_points_are_built_column_by_column():
+    # 1e5 points of 3 int64 parts take 2.4 MB, their cuts 1.6 MB and an int8
+    # record of 4 steps 0.4 MB; a (1e5, 4) int64 temporary would add 3.2 MB
+    s = brun3()
+    assert _peak_mb(lambda: batch_code_points(s, s.vertices[0], 4, 10**5, 1)) < 6
 
 
 def _replay_until_hole(s, vertex, row):
@@ -435,6 +483,17 @@ def test_batch_engines_retire_lanes_in_holes():
     # its recorded walk sat in a hole
     assert ((fired == -1) == (rec == -1).any(axis=1)).all()
     assert ((fired == -1) | (fired == n)).all()
+
+
+def test_fire_steps_without_stops_take_no_step(monkeypatch):
+    # no lane has a stop left to wait for: none walks to the cap
+    def no_step(*args):
+        raise AssertionError("a walk without stops took a step")
+
+    monkeypatch.setattr(stochastic, "_step", no_step)
+    s = brun3()
+    fired = batch_fire_steps(s, s.vertices[0], (1, 1, 1), [], 1000, 1, 20000)
+    assert fired.shape == (0, 1000)
 
 
 @pytest.mark.parametrize("q0", [(0, 1, 1), (-1, 2, 3), (0, 0, 0)])
