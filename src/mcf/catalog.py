@@ -582,8 +582,6 @@ def _section_return(named, vertex, y):
                 return v, tuple(cur)
     except HoleReachedError:
         raise DomainEscape(f"walk entered hole {v!r}") from None
-    except BoundaryTieError:
-        raise BoundaryTieError("tied comparison during section return") from None
     raise GraphError("no section return within the step guard")
 
 

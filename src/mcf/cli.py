@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import secrets
+from dataclasses import asdict
 from fractions import Fraction
 
 import click
@@ -177,7 +178,7 @@ def criterion(graph, catalog_name, dim, out, fmt, strict):
     system, _, source = _load_system(graph, catalog_name, dim)
     report = check_non_degenerating(system)
     payload = _base("criterion", source=source, strict=strict)
-    payload.update(report.to_dict())
+    payload.update(asdict(report))
     _emit(payload, out, fmt)
     if strict and not report.passes:
         raise StrictFailure("criterion failed (witnesses in output)")
@@ -348,7 +349,7 @@ def _pressure_payload(command, system, source, L, n, allowed_edges, strict):
     est = pressure_analysis(system, L, n, allowed_edges=allowed_edges)
     payload = _base(command, source=source, L=L, n=n,
                     restricted=allowed_edges is not None, strict=strict)
-    payload.update(est.to_dict())
+    payload.update(asdict(est))
     return payload
 
 
@@ -390,7 +391,6 @@ def dimension(graph, catalog_name, dim, max_length, n_orbits, out, strict):
     d = system.dim
     payload["ambient"] = d - 1
     payload["bound"] = hausdorff_bound(kappa, d)
-    payload["full_dimension"] = d - 1
     payload["proper"] = payload["bound"] < d - 1
     _emit(payload, out, "json")
     if strict and not payload["proper"]:

@@ -318,14 +318,6 @@ class CriterionReport:
     scc_failures: list = field(default_factory=list)
     holes: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "passes": self.passes,
-            "reachability_failures": self.reachability_failures,
-            "scc_failures": self.scc_failures,
-            "holes": list(self.holes),
-        }
-
 
 def _full_label_reachable(system, start):
     """Whether some path from ``start`` carries every letter of the alphabet."""

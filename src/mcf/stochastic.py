@@ -48,24 +48,46 @@ def _check_composition(n, bits, max_bits):
         raise GraphError(f"2**{bits} has no composition into {n} positive parts")
 
 
+def _compositions(rng, k, n, bits):
+    """k uniform compositions of 2**bits into n positive parts (gap method),
+    as the rows of a (k, n) int64 array.
+
+    Each row sorts n - 1 cuts drawn from 1..2**bits - 1 and takes their gaps,
+    column by column.  Rows with a repeated cut have a zero part and are
+    redrawn, in row order, until 1000 draws have been made.
+    """
+    hi = 1 << bits
+
+    def draw(m):
+        cuts = rng.integers(1, hi, size=(m, n - 1))
+        cuts.sort(axis=1)
+        ends = [0, *cuts.T]
+        pts = np.empty((m, n), dtype=np.int64)
+        for col, right, left in zip(pts.T, ends[1:], ends):
+            np.subtract(right, left, out=col)
+        # hi - left, without 2**63, which int64 does not hold
+        np.subtract(hi - 1, ends[-1], out=pts[:, -1])
+        pts[:, -1] += 1
+        return pts
+
+    pts = draw(k)
+    for redraws in itertools.count():
+        bad = functools.reduce(np.logical_or, (c == 0 for c in pts.T))
+        if not bad.any():
+            return pts
+        if redraws == 999:  # 1000 draws before giving up
+            raise GraphError("failed to sample distinct cut points")
+        pts[bad] = draw(np.count_nonzero(bad))
+
+
 def sample_simplex_integers(rng, n, bits=62):
     """Uniform composition of 2**bits into n positive parts (gap method).
 
-    The cuts are drawn as int64, so ``bits`` runs from 1 to 63.
+    The cuts and parts are int64, so ``bits`` runs from 1 to 63, and to 62
+    for one part, which is 2**bits itself.
     """
-    _check_composition(n, bits, 63)
-    hi = 1 << bits
-    for _ in range(1000):  # draws before giving up
-        cuts = sorted(int(c) for c in rng.integers(1, hi, size=n - 1))
-        parts = []
-        prev = 0
-        for c in cuts:
-            parts.append(c - prev)
-            prev = c
-        parts.append(hi - prev)
-        if all(p > 0 for p in parts):
-            return tuple(parts)
-    raise GraphError("failed to sample distinct cut points")
+    _check_composition(n, bits, 63 if n > 1 else 62)
+    return tuple(_compositions(rng, 1, n, bits)[0].tolist())
 
 
 # -- measures --------------------------------------------------------------
@@ -193,7 +215,6 @@ class WalkOutcome:
     final_q: tuple
     fired_at: dict  # stop index -> first step at which it fired
     truncated: bool
-    steps: int
 
 
 def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
@@ -202,15 +223,13 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
     ``rng`` may be a Generator or an integer seed.  Coordinates of q stay
     exact (integers stay integers); the random edge choice inverts the exact
     cumulative law at a dyadic uniform draw.  The stopping times see the walk
-    as a batch of one lane.
+    as a batch of one lane, at step 0 and after every step.  This per-trial
+    exact walk is the reference of the batch engines: a stop that fires when
+    the first of two others does ends it where ``estimate_order_prob`` ends
+    a walk.
     """
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(rng)
-    return _walk(system, vertex, q0, stops, rng, max_steps, len(stops))
-
-
-def _walk(system, vertex, q0, stops, rng, max_steps, until):
-    """``sample_walk`` that ends once ``until`` of the stops have fired."""
     system.check_point(q0, "q0")
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
@@ -226,7 +245,7 @@ def _walk(system, vertex, q0, stops, rng, max_steps, until):
             if j not in fired_at and s.fires(walks, index)[0]:
                 fired_at[j] = len(path)
         out = system.out_edges(cur)
-        if len(fired_at) >= until or len(path) >= max_steps or not out:
+        if len(fired_at) == len(stops) or len(path) >= max_steps or not out:
             break
         law = edge_law(system, cur, q)
         u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
@@ -242,27 +261,18 @@ def _walk(system, vertex, q0, stops, rng, max_steps, until):
         q = tuple(system.act(chosen, [list(q)])[0])
         cur = system.edges[chosen].dst
         path.append(chosen)
-    truncated = len(fired_at) < until
-    return WalkOutcome(path, q, fired_at, truncated, len(path))
+    truncated = len(fired_at) < len(stops)
+    return WalkOutcome(path, q, fired_at, truncated)
 
 
 def estimate_order_prob(
-    system,
-    vertex,
-    q0,
-    stop_a,
-    stop_b,
-    trials,
-    seed,
-    max_steps=10**4,
+    system, vertex, q0, stop_a, stop_b, trials, seed, max_steps=10**4,
     strict=False,
-    engine="batch",
 ):
     """Monte Carlo frequency of {A fires no later than B} (or strictly before).
 
-    The exact engine ("exact") derives per-trial substreams from (seed, trial
-    index); the batch engine ("batch") consumes one stream per call.  Both
-    stop each walk once its order is decided, on the step where A or B first
+    The walks run in the batch firing loop on one stream, ``make_rng(seed)``,
+    and each stops once its order is decided, on the step where A or B first
     fires (both are evaluated on that step, so a tie still counts).
     ``truncated`` counts the walks whose order is undecided at max_steps:
     neither stop fired, by then or before the walk entered a hole.
@@ -270,17 +280,8 @@ def estimate_order_prob(
     if trials < 1:
         raise GraphError("trials must be positive")
     _non_negative(max_steps=max_steps)
-    stops = [stop_a, stop_b]
-    if engine == "batch":
-        a, b = _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, 1)
-    elif engine == "exact":
-        a, b = np.full((2, trials), -1, dtype=np.int64)
-        for t in range(trials):
-            out = _walk(system, vertex, q0, stops, make_rng(seed, t), max_steps, 1)
-            a[t] = out.fired_at.get(0, -1)
-            b[t] = out.fired_at.get(1, -1)
-    else:
-        raise GraphError(f"unknown engine {engine!r}; use 'batch' or 'exact'")
+    a, b = _fire_steps(system, vertex, q0, [stop_a, stop_b], trials, seed,
+                       max_steps, 1)
     first = a < b if strict else a <= b
     count = int(((a >= 0) & ((b < 0) | first)).sum())
     truncated = int(((a < 0) & (b < 0)).sum())
@@ -573,9 +574,9 @@ def _q_lanes(system, vertex, q0, trials):
 
 def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, until):
     """First firing step of each stop for each trial, -1 where it did not
-    fire.  A lane walks until ``until`` of its stops have fired, as
-    ``_walk`` does.  Each engine step draws a whole self-loop run where the
-    loser is a self-loop, so each lane counts its own steps."""
+    fire.  A lane walks until ``until`` of its stops have fired.  Each
+    engine step draws a whole self-loop run where the loser is a self-loop,
+    so each lane counts its own steps."""
     # step counts are int64, and no walk takes 2**62 steps one at a time
     max_steps = min(max_steps, 2**62)
     table = _padded_table(system)
@@ -652,35 +653,16 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     fit in int64, so ``bits`` runs from 1 to 62.  Trials that hit a tie are
     marked with -2 from the tie step onward, and trials in a hole with -1.
     The result is a view, the transpose of a step-major array of
-    ``_record_dtype``: int8 up to 128 letters.  The points are built and
-    checked column by column from the sorted cuts.
+    ``_record_dtype``: int8 up to 128 letters.  The points come from the
+    gap-method sampler of ``sample_simplex_integers``, which raises after
+    1000 draws.
     """
     n = system.dim
     _check_composition(n, bits, 62)
     _non_negative(n_steps=n_steps, trials=trials)
     system.out_edges(vertex)  # raises on an unknown vertex
     start = system.vertex_index[vertex]
-    rng = make_rng(seed)
-    hi = 1 << bits
-
-    def compositions(k):
-        cuts = rng.integers(1, hi, size=(k, n - 1))
-        cuts.sort(axis=1)
-        ends = [0, *cuts.T, hi]
-        pts = np.empty((k, n), dtype=np.int64)
-        for col, right, left in zip(pts.T, ends[1:], ends):
-            np.subtract(right, left, out=col)
-        return pts
-
-    def nonpositive(pts):
-        return functools.reduce(np.logical_or, (c <= 0 for c in pts.T))
-
-    pts = compositions(trials)
-    bad = nonpositive(pts)
-    while bad.any():
-        pts[bad] = compositions(int(bad.sum()))
-        bad = nonpositive(pts)
-
+    pts = _compositions(make_rng(seed), trials, n, bits)
     table = _padded_table(system)
     rec = np.full((n_steps, trials), -1, dtype=_record_dtype(system))
     vals = np.empty((min(trials, _CODE_BLOCK), n + 1), dtype=np.int64)

@@ -39,19 +39,6 @@ class PressureEstimate:
     bracket: tuple
     restricted: bool = False
 
-    def to_dict(self):
-        return {
-            "kappa": self.kappa,
-            "n": self.n,
-            "L": self.L,
-            "letters": self.letters,
-            "base_vertex": self.base_vertex,
-            "gamma_star": list(self.gamma_star),
-            "residual": self.residual,
-            "bracket": list(self.bracket),
-            "restricted": self.restricted,
-        }
-
 
 def _loop_table(system, base, max_length, avoid, allowed_edges, cap=1):
     """The states of the loop walk, the sets that prune it and its size.

@@ -47,6 +47,35 @@ def trap():
     )
 
 
+class FirstOf(StoppingTime):
+    """Fires once A or B has, and keeps which of them fired last time."""
+
+    def __init__(self, a, b):
+        self.stops, self.fired = (a, b), (False, False)
+
+    def fires(self, walks, index):
+        self.fired = tuple(bool(s.fires(walks, index)[0]) for s in self.stops)
+        return np.array([any(self.fired)])
+
+
+def exact_order_prob(system, vertex, q0, stop_a, stop_b, trials, seed,
+                     max_steps=10**4, strict=False):
+    """The reference of ``estimate_order_prob``: exact walks on the
+    substreams (seed, trial), each ending on the step where A or B first
+    fires, so the last state FirstOf saw decides the order."""
+    count = truncated = 0
+    for t in range(trials):
+        first = FirstOf(stop_a, stop_b)
+        out = sample_walk(system, vertex, q0, [first], make_rng(seed, t),
+                          max_steps)
+        a, b = first.fired
+        truncated += out.truncated
+        count += a and not (strict and b)
+    freq = count / trials
+    stderr = math.sqrt(max(freq * (1 - freq), 1e-300) / trials)
+    return {"frequency": freq, "stderr": stderr, "truncated": truncated}
+
+
 def test_rng_reproducible_and_stream_separated():
     a = make_rng(7).integers(0, 1 << 30, size=4)
     b = make_rng(7).integers(0, 1 << 30, size=4)
@@ -79,6 +108,10 @@ def test_simplex_integers_bits_stay_in_int64_cuts():
     for bits in (0, 64, 80):
         with pytest.raises(GraphError, match="bits must be in 1..63"):
             sample_simplex_integers(rng, 3, bits=bits)
+    # one part is 2**bits itself, which int64 holds up to 2**62
+    assert sample_simplex_integers(rng, 1, bits=62) == (1 << 62,)
+    with pytest.raises(GraphError, match="bits must be in 1..62"):
+        sample_simplex_integers(rng, 1, bits=63)
 
 
 def test_compositions_need_as_many_units_as_parts():
@@ -91,6 +124,15 @@ def test_compositions_need_as_many_units_as_parts():
         batch_code_points(brun3(), brun3().vertices[0], 2, 3, 1, bits=1)
     assert sample_simplex_integers(make_rng(0), 2, bits=1) == (1, 1)
     assert (batch_code_points(gauss(), "v", 2, 3, 1, bits=1) == -2).all()
+    # 2**4 has one composition into 16 parts, which 15 cuts in 1..15 hit with
+    # chance 15!/15**15: both give up after 1000 draws, where the coder once
+    # redrew for seconds
+    s = build("fully-subtractive", 16).system
+    match = "failed to sample distinct cut points"
+    with pytest.raises(GraphError, match=match):
+        sample_simplex_integers(make_rng(0), 16, bits=4)
+    with pytest.raises(GraphError, match=match):
+        batch_code_points(s, s.vertices[0], 2, 1, 1, bits=4)
 
 
 def test_edge_law_exact():
@@ -208,12 +250,8 @@ def test_estimate_order_prob_engines_agree_in_distribution(
 ):
     s = system()
     v = s.vertices[0]
-    a = estimate_order_prob(
-        s, v, q0, stop_a, stop_b, 4000, 11, strict=strict, engine="batch"
-    )
-    b = estimate_order_prob(
-        s, v, q0, stop_a, stop_b, 4000, 11, strict=strict, engine="exact"
-    )
+    a = estimate_order_prob(s, v, q0, stop_a, stop_b, 4000, 11, strict=strict)
+    b = exact_order_prob(s, v, q0, stop_a, stop_b, 4000, 11, strict=strict)
     tol = 3 * math.sqrt(a["stderr"] ** 2 + b["stderr"] ** 2) + 1e-9
     assert abs(a["frequency"] - b["frequency"]) <= tol
 
@@ -304,8 +342,8 @@ def test_trap_escape_agrees_with_the_exact_engine():
     cap = 40
     fired = batch_fire_steps(s, "v", (4, 4, 1), [Lose("3")], 20000, 41, cap)[0]
     freq = float((fired >= 0).mean())
-    r = estimate_order_prob(s, "v", (4, 4, 1), Lose("3"), StepCount(cap), 1000,
-                            42, max_steps=cap, engine="exact")
+    r = exact_order_prob(s, "v", (4, 4, 1), Lose("3"), StepCount(cap), 1000,
+                         42, max_steps=cap)
     se = math.sqrt(freq * (1 - freq) / 20000 + r["stderr"] ** 2)
     assert abs(freq - r["frequency"]) <= 3 * se
 
@@ -504,10 +542,10 @@ def test_batch_engines_reject_a_non_positive_q0(q0):
         batch_fire_steps(s, v, q0, [StepCount(5)], 10, 1, 5)
     with pytest.raises(GraphError, match="q0 must be positive"):
         batch_record_paths(s, v, q0, 5, 10, 1)
-    for engine in ("batch", "exact"):
-        with pytest.raises(GraphError, match="q0 must be positive"):
-            estimate_order_prob(s, v, q0, Jump(2), Win("1"), 10, 1,
-                                engine=engine)
+    with pytest.raises(GraphError, match="q0 must be positive"):
+        estimate_order_prob(s, v, q0, Jump(2), Win("1"), 10, 1)
+    with pytest.raises(GraphError, match="q0 must be positive"):
+        sample_walk(s, v, q0, [StepCount(5)], 1)
     # the exact measure: edge 2 once made (0, 1, 1) and (-1, 2, 3) positive
     # and gave them a mass
     for path in ([], [0], [2]):
@@ -518,13 +556,11 @@ def test_batch_engines_reject_a_non_positive_q0(q0):
 def test_out_of_range_counts_raise():
     s = brun3()
     v = s.vertices[0]
-    for engine in ("batch", "exact"):
-        with pytest.raises(GraphError, match="trials"):
-            estimate_order_prob(s, v, (1, 1, 1), Jump(2), Win("1"), 0, 1,
-                                engine=engine)
-        with pytest.raises(GraphError, match="max_steps"):
-            estimate_order_prob(s, v, (1, 1, 1), Jump(2), Win("1"), 10, 1,
-                                max_steps=-1, engine=engine)
+    with pytest.raises(GraphError, match="trials"):
+        estimate_order_prob(s, v, (1, 1, 1), Jump(2), Win("1"), 0, 1)
+    with pytest.raises(GraphError, match="max_steps"):
+        estimate_order_prob(s, v, (1, 1, 1), Jump(2), Win("1"), 10, 1,
+                            max_steps=-1)
     with pytest.raises(GraphError, match="max_steps"):
         batch_fire_steps(s, v, (1, 1, 1), [StepCount(0)], 10, 1, -1)
     with pytest.raises(GraphError, match="trials"):
@@ -550,10 +586,8 @@ def test_engines_reject_an_unknown_vertex():
         sample_walk(s, "nowhere", (1, 1, 1), [StepCount(3)], 1)
     with pytest.raises(GraphError, match="unknown vertex"):
         edge_law(s, "nowhere", (1, 1, 1))
-    for engine in ("batch", "exact"):
-        with pytest.raises(GraphError, match="unknown vertex"):
-            estimate_order_prob(s, "nowhere", (1, 1, 1), Jump(2), Win("1"),
-                                5, 1, engine=engine)
+    with pytest.raises(GraphError, match="unknown vertex"):
+        estimate_order_prob(s, "nowhere", (1, 1, 1), Jump(2), Win("1"), 5, 1)
 
 
 @pytest.mark.parametrize("q0", [(1, 1), (1, 1, 1, 1)])
@@ -569,10 +603,8 @@ def test_engines_reject_a_q0_of_the_wrong_length(q0):
         batch_record_paths(s, v, q0, 5, 10, 1)
     with pytest.raises(GraphError, match=match):
         sample_walk(s, v, q0, [StepCount(5)], 1)
-    for engine in ("batch", "exact"):
-        with pytest.raises(GraphError, match=match):
-            estimate_order_prob(s, v, q0, Lose("3"), Win("3"), 10, 1,
-                                engine=engine)
+    with pytest.raises(GraphError, match=match):
+        estimate_order_prob(s, v, q0, Lose("3"), Win("3"), 10, 1)
     # the exact measures: a long q once gave a result, a short one an
     # IndexError or, on the empty path, a wrong mass
     match = f"q has {len(q0)} coordinates, the system 3 letters"
@@ -620,25 +652,23 @@ def test_exact_order_walks_stop_once_their_order_is_decided(monkeypatch):
 
     monkeypatch.setattr(stochastic, "edge_law", counted)
     s = brun3()
-    r = estimate_order_prob(s, s.vertices[0], (7, 2, 9), JumpCoord("1", 2),
-                            Win("1"), 200, 3, max_steps=10**4, strict=True,
-                            engine="exact")
+    r = exact_order_prob(s, s.vertices[0], (7, 2, 9), JumpCoord("1", 2),
+                         Win("1"), 200, 3, max_steps=10**4, strict=True)
     assert len(calls) == 200
     assert r["truncated"] == 0
 
 
-@pytest.mark.parametrize("engine", ["batch", "exact"])
-def test_truncated_counts_the_undecided_walks(engine):
+@pytest.mark.parametrize("estimate", [estimate_order_prob, exact_order_prob],
+                         ids=["batch", "exact"])
+def test_truncated_counts_the_undecided_walks(estimate):
     s = brun3()
     v = s.vertices[0]
-    decided = estimate_order_prob(s, v, (1, 1, 1), StepCount(0),
-                                  StepCount(10**6), 50, 2, max_steps=5,
-                                  engine=engine)
+    decided = estimate(s, v, (1, 1, 1), StepCount(0), StepCount(10**6), 50, 2,
+                       max_steps=5)
     assert decided["frequency"] == 1.0
     assert decided["truncated"] == 0
-    undecided = estimate_order_prob(s, v, (1, 1, 1), StepCount(10**6),
-                                    StepCount(10**6), 50, 2, max_steps=5,
-                                    engine=engine)
+    undecided = estimate(s, v, (1, 1, 1), StepCount(10**6), StepCount(10**6),
+                         50, 2, max_steps=5)
     assert undecided["truncated"] == 50
 
 
