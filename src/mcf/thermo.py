@@ -33,6 +33,7 @@ class PressureEstimate:
     n: int
     L: int
     letters: int
+    products: int  # class products formed, one per rotation class of n-tuples
     base_vertex: str
     gamma_star: tuple  # label sequence
     residual: float
@@ -184,28 +185,32 @@ def _power_log_radius(stack, tol=1e-12, max_iter=500):
 
 
 def _rotation_classes(k, n):
-    """Smallest code among the rotations of every n-tuple code over k
-    letters (first letter most significant), and the representatives:
-    the codes that are their own smallest rotation.  On the codes laid out
-    as a k x ... x k array, a rotation of the tuples is a move of the last
-    axis to the front."""
-    codes = np.arange(k**n, dtype=np.int64).reshape((k,) * n)
-    canon = codes.copy()
-    rot = codes
-    for _ in range(n - 1):
-        rot = np.moveaxis(rot, -1, 0)
-        np.minimum(canon, rot, out=canon)
-    canon = canon.ravel()
-    return canon, np.flatnonzero(canon == codes.ravel())
+    """The smallest code of every rotation class of n-tuples over k letters
+    (first letter most significant), in increasing order, and the class
+    sizes, the tuples' smallest periods.  Codes are screened ``BLOCK * n``
+    at a time; the guard keeps k^n below 2^31, so they fit int32."""
+    def rotate(codes, s):  # the last s digits move to the front
+        return codes % k**s * k**(n - s) + codes // k**s
+    total, reps = k**n, []
+    for lo in range(0, total, BLOCK * n):
+        codes = np.arange(lo, min(lo + BLOCK * n, total), dtype=np.int32)
+        for s in range(1, n):
+            codes = codes[codes <= rotate(codes, s)]
+        reps.append(codes)
+    reps = np.concatenate(reps)
+    fixed = (rotate(reps, s) == reps for s in range(1, n))  # period p: n/p - 1 of them
+    return reps, n // sum(fixed, np.ones(reps.size, np.min_scalar_type(n)))
 
 
 def tuple_log_radii(letters, n):
-    """log spectral radius of every n-fold product of letter matrices.
+    """log spectral radius of the n-fold products of letter matrices, one
+    record ``("log_radius", "size")`` per rotation class of n-tuples.
 
     The radius is invariant under rotating the tuple, so one product is
-    formed per rotation class, over blocks of ``BLOCK`` representatives,
-    and gathered back into tuple order (first letter most significant).
-    """
+    formed per class, for its smallest tuple (first letter most
+    significant), over blocks of ``BLOCK`` representatives.  The records
+    follow that tuple's order, and a size is the number of tuples in its
+    class, so the sizes sum to k^n; nothing has k^n entries."""
     if not letters:
         raise GraphError("empty induced alphabet")
     if n < 1:
@@ -220,40 +225,43 @@ def tuple_log_radii(letters, n):
     scales = mats.max(axis=(1, 2))
     base = np.ascontiguousarray((mats / scales[:, None, None]).transpose(1, 2, 0))
     base_log = np.log(scales)
-    canon, reps = _rotation_classes(k, n)
-    radii = np.empty(k**n)
+    reps, sizes = _rotation_classes(k, n)
+    records = np.empty(reps.size, [("log_radius", "f8"), ("size", sizes.dtype)])
+    records["size"] = sizes
     for lo in range(0, reps.size, BLOCK):
-        codes = reps[lo:lo + BLOCK]
-        digits = np.unravel_index(codes, (k,) * n)
-        prod = base.take(digits[0], axis=2)
-        log = base_log[digits[0]]
-        for a in digits[1:]:
+        first, *rest = (reps[lo:lo + BLOCK] // k**i % k for i in reversed(range(n)))
+        prod = base.take(first, axis=2)
+        log = base_log[first]
+        for a in rest:
             prod = np.einsum("ijl,jkl->ikl", prod, base.take(a, axis=2))
             scale = prod.max(axis=(0, 1))
             prod /= scale
             log = log + base_log[a] + np.log(scale)
-        radii[codes] = _power_log_radius(prod) + log
-    return radii[canon]
+        records["log_radius"][lo:lo + BLOCK] = _power_log_radius(prod) + log
+    return records
 
 
-def _pressure(log_radii, n):
-    """The truncated pressure P(kappa) = (1/n) log sum exp(-kappa l) over the
-    log radii l, as a function of kappa that returns P and dP/dkappa.
+def _pressure(records, n):
+    """The truncated pressure P(kappa) = (1/n) log sum |c| exp(-kappa l_c)
+    over the class records c of ``tuple_log_radii``, of size |c| and log
+    radius l_c, as a function of kappa that returns P and dP/dkappa.
 
     It sums over the radii shifted by their minimum, in one reused buffer.
     The weighted sum is elementwise: numpy's ``dot`` and ``@`` call BLAS,
     whose threads spin after each call and bill CPU time.
     """
+    log_radii = records["log_radius"]
     low = float(log_radii.min())
-    shifted = log_radii - low
-    e = np.empty_like(shifted)
+    e = np.empty(records.size)
 
     def pressure(kappa):
-        np.multiply(shifted, -kappa, out=e)
+        np.subtract(log_radii, low, out=e)
+        np.multiply(e, -kappa, out=e)
         np.exp(e, out=e)
+        np.multiply(e, records["size"], out=e)
         total = float(e.sum())
-        mean = float(np.einsum("i,i->", shifted, e)) / total
-        return (math.log(total) - kappa * low) / n, -(low + mean) / n
+        mean = float(np.einsum("i,i->", log_radii, e)) / total
+        return (math.log(total) - kappa * low) / n, -mean / n
 
     return pressure
 
@@ -265,9 +273,10 @@ NEWTON_STEPS = 100
 KAPPA_BRACKET = (0.25, 16.0)
 
 
-def solve_kappa(log_radii, n, bracket=KAPPA_BRACKET, tol=1e-9):
-    """Root in kappa of the truncated pressure of the n-tuple log radii
-    ``log_radii`` (from ``tuple_log_radii``), by Newton's method.
+def solve_kappa(records, n, bracket=KAPPA_BRACKET, tol=1e-9):
+    """Root in kappa of the truncated pressure of the n-tuple class records
+    ``records`` (from ``tuple_log_radii``), each weighted by its class
+    size, by Newton's method.
 
     Every log radius is at least log d > 0, so the pressure is convex and
     strictly decreasing in kappa, and Newton steps from the left end of the
@@ -276,7 +285,7 @@ def solve_kappa(log_radii, n, bracket=KAPPA_BRACKET, tol=1e-9):
     the bracket raises, and so does a solve that does not reach ``tol``.
     """
     lo, hi = bracket
-    pressure = _pressure(log_radii, n)
+    pressure = _pressure(records, n)
 
     def no_sign_change(p_lo):
         return GraphError(
@@ -317,12 +326,14 @@ def pressure_analysis(system, max_length, n, gamma_star=None, allowed_edges=None
         system, gamma_star, max_length, allowed_edges
     )
     base = system.edges[gamma_star[0]].src
-    kappa, residual = solve_kappa(tuple_log_radii(letters, n), n)
+    records = tuple_log_radii(letters, n)
+    kappa, residual = solve_kappa(records, n)
     return PressureEstimate(
         kappa=kappa,
         n=n,
         L=max_length,
         letters=len(letters),
+        products=records.size,
         base_vertex=base,
         gamma_star=system.path_labels(gamma_star),
         residual=residual,

@@ -266,6 +266,8 @@ def test_pressure_command(runner):
     d = json.loads(r.output)
     assert 1.5 < d["kappa"] < 2.0
     assert d["target"] == 2
+    k = d["letters"]
+    assert d["products"] == k * (k + 1) // 2  # one per unordered pair
 
 
 def test_dimension_command_reports_bound(runner):
@@ -275,6 +277,7 @@ def test_dimension_command_reports_bound(runner):
     assert d["restricted"]
     assert d["bound"] < 2.0
     assert d["proper"]
+    assert d["letters"] < d["products"] < d["letters"] ** 2
 
 
 @pytest.mark.parametrize("args", [
@@ -288,6 +291,13 @@ def test_pressure_out_of_range_is_exit_2(runner, args):
     assert r.exit_code == 2
     # the library's message names the rejected value
     assert f"got {args[-1]}" in r.output and "Traceback" not in r.output
+
+
+def test_pressure_of_one_letter_at_a_large_n_is_exit_2(runner):
+    # 70 letters per tuple: more than the axes an ndarray may have
+    r = runner.invoke(main, ["pressure", "--catalog", "gauss", "--L", "0", "--n", "70"])
+    assert r.exit_code == 2
+    assert "no pressure sign change" in r.output and "Traceback" not in r.output
 
 
 @pytest.mark.parametrize("args", [

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,10 +33,15 @@ def gauss_star():
     return s, g
 
 
+def expand(records):
+    """The log radius of every tuple, one class record after another."""
+    return np.repeat(records["log_radius"], records["size"])
+
+
 def log_radius(matrix):
     """log spectral radius of one matrix, as the radius of a one-letter
     alphabet."""
-    return float(tuple_log_radii([Letter((), (), matrix)], 1)[0])
+    return float(expand(tuple_log_radii([Letter((), (), matrix)], 1))[0])
 
 
 def test_perron_oracle_fibonacci_square():
@@ -84,6 +91,33 @@ def system_and_edges(name, dim=None):
     return build(name, dim).system, None
 
 
+def check_class_records(letters, n):
+    """The records of ``tuple_log_radii`` against brute force over every
+    n-tuple: one record per rotation class, in increasing order of the
+    class's smallest tuple, holding the class size and the log radius of
+    every tuple in the class."""
+    k = len(letters)
+    mats = np.array([l.matrix for l in letters], dtype=np.float64)
+    tuples = list(itertools.product(range(k), repeat=n))  # a1 most significant
+    smallest = [min(t[s:] + t[:s] for s in range(n)) for t in tuples]
+    reps = sorted(set(smallest))
+    sizes = Counter(smallest)
+    records = tuple_log_radii(letters, n)
+    assert records.size == len(reps)
+    assert records["size"].tolist() == [sizes[r] for r in reps]
+    assert int(records["size"].sum()) == k**n
+    index = {r: i for i, r in enumerate(reps)}
+    expected = []
+    for t in tuples:
+        prod = mats[t[0]]
+        for a in t[1:]:
+            prod = prod @ mats[a]
+        expected.append(math.log(np.abs(np.linalg.eigvals(prod)).max()))
+    got = records["log_radius"][[index[r] for r in smallest]]
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    return records
+
+
 @pytest.mark.parametrize("name, dim, L", [
     ("gauss", None, 4), ("brun", 3, 3), ("brun", 4, 8), ("gasket", None, 10),
 ])
@@ -91,16 +125,45 @@ def system_and_edges(name, dim=None):
 def test_tuple_log_radii_match_eigenvalues_in_tuple_order(name, dim, L, n):
     s, allowed = system_and_edges(name, dim)
     g = find_positive_path(s, allowed_edges=allowed)
-    letters = build_induced_alphabet(s, g, L, allowed)
-    mats = np.array([l.matrix for l in letters], dtype=np.float64)
-    expected = []
-    for t in itertools.product(range(len(letters)), repeat=n):  # a1 most significant
-        prod = mats[t[0]]
-        for a in t[1:]:
-            prod = prod @ mats[a]
-        expected.append(math.log(np.abs(np.linalg.eigvals(prod)).max()))
-    got = tuple_log_radii(letters, n)
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    check_class_records(build_induced_alphabet(s, g, L, allowed), n)
+
+
+@pytest.mark.parametrize("name, dim, L, n", [
+    ("gauss", None, 2, 4), ("brun", 3, 4, 4), ("gauss", None, 1, 6), ("brun", 3, 3, 6),
+])
+def test_class_records_of_periodic_tuples(name, dim, L, n):
+    s = build(name, dim).system
+    records = check_class_records(build_induced_alphabet(s, find_positive_path(s), L), n)
+    # with two letters or more, every divisor of n is the period of a tuple
+    assert set(records["size"].tolist()) == {p for p in range(1, n + 1) if n % p == 0}
+
+
+def test_pressure_analysis_allocates_no_array_per_tuple():
+    # brun(3) at L=12 has 836 letters: 698896 pairs in 349866 classes.  A
+    # float array over the pairs, as a gather of the radii into tuple order
+    # and a buffer for the sum over them, takes the peak to about 20 MB.
+    s = build("brun", 3).system
+    tracemalloc.start()
+    try:
+        est = pressure_analysis(s, 12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (est.letters, est.products) == (836, 349866)
+    assert peak < 12 * 2**20
+
+
+def test_tuple_guard_raises_before_allocating():
+    s, g = gauss_star()
+    letters = build_induced_alphabet(s, g, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match=r"3\^30 tuple products exceed the memory guard"):
+            tuple_log_radii(letters, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 def test_pressure_inputs_out_of_range_raise():
@@ -279,18 +342,21 @@ def test_partition_sum_decreasing_in_kappa():
 def test_solve_kappa_root_property_and_bad_bracket():
     s, g = gauss_star()
     letters = build_induced_alphabet(s, g, 8)
-    radii = tuple_log_radii(letters, 2)
-    kappa, residual = solve_kappa(radii, 2)
+    records = tuple_log_radii(letters, 2)
+    kappa, residual = solve_kappa(records, 2)
     assert abs(residual) < 1e-6
     assert 1.5 < kappa < 2.0
     # the root lies below the first bracket and above the second
     for bracket in ((8.0, 16.0), (0.25, 1.0)):
         with pytest.raises(GraphError, match="no pressure sign change"):
-            solve_kappa(radii, 2, bracket=bracket)
+            solve_kappa(records, 2, bracket=bracket)
 
 
-def bisection_kappa(radii, n, lo=0.25, hi=16.0):
-    """Oracle: bisect the log-sum-exp pressure to a width of 1e-14."""
+def bisection_kappa(records, n, lo=0.25, hi=16.0):
+    """Oracle: bisect the log-sum-exp pressure over every tuple to a width
+    of 1e-14."""
+    radii = expand(records)
+
     def pressure(kappa):
         x = -kappa * radii
         m = x.max()
@@ -319,9 +385,9 @@ def test_solve_kappa_matches_a_bisection_oracle(name, dim, L, n, restricted):
         allowed = [i for i in range(len(s.edges)) if i not in exits]
     g = find_positive_path(s, allowed_edges=allowed)
     letters = build_induced_alphabet(s, g, L, allowed)
-    radii = tuple_log_radii(letters, n)
-    kappa, residual = solve_kappa(radii, n)
-    assert abs(kappa - bisection_kappa(radii, n)) < 1e-9
+    records = tuple_log_radii(letters, n)
+    kappa, residual = solve_kappa(records, n)
+    assert abs(kappa - bisection_kappa(records, n)) < 1e-9
     assert abs(residual) < 1e-9
     assert type(kappa) is float and type(residual) is float
 
