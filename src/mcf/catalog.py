@@ -17,10 +17,9 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from typing import Callable, NamedTuple
 
-from .graph import MAX_CRITERION_ALPHABET, GraphError, SimplicialSystem
+from .graph import MAX_CRITERION_ALPHABET, GraphError, SimplicialSystem, mat_vec
 from .induction import BoundaryTieError, HoleReachedError, _advance
 from .stochastic import make_rng, sample_simplex_integers
 
@@ -142,7 +141,7 @@ class NamedSystem:
         """Section vertex and positive cone coordinates of x, up to a
         positive factor."""
         vertex = self._vertex(x)
-        y = tuple(sum(map(mul, row, x)) for row in self._basis(vertex)[1])
+        y = mat_vec(self._basis(vertex)[1], x)
         if any(c <= 0 for c in y):
             raise GraphError("point is outside the stable domain")
         return vertex, y
@@ -150,7 +149,7 @@ class NamedSystem:
     def project(self, vertex, y):
         if vertex not in self.section:
             raise GraphError(f"{vertex!r} is not a section vertex")
-        return tuple(sum(map(mul, row, y)) for row in self._basis(vertex)[0])
+        return mat_vec(self._basis(vertex)[0], y)
 
     def reference_step(self, x):
         raise NotImplementedError
@@ -321,11 +320,11 @@ class Cassaigne(NamedSystem):
 
     def embed(self, x):
         x = self.canonical(x)
-        return super().embed(tuple(sum(map(mul, row, x)) for row in self._H_ROWS))
+        return super().embed(mat_vec(self._H_ROWS, x))
 
     def project(self, vertex, y):
         z = sorted(super().project(vertex, y), reverse=True)
-        return self.canonical(tuple(sum(map(mul, row, z)) for row in self._H_INV))
+        return self.canonical(mat_vec(self._H_INV, z))
 
     def reference_step(self, x):
         x1, x2, x3 = x

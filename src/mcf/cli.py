@@ -113,18 +113,17 @@ def _emit(payload, out, fmt):
 def _write(text, out):
     """Write ``text`` to the file ``out``, or to stdout when none is given."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainFailure(f"could not write {out!r}: {exc.strerror or exc}")
     else:
         click.echo(text, nl=False)
 
 
 def _base(command, **params):
-    return {
-        "command": command,
-        "version": __version__,
-        "params": {k: v for k, v in params.items()},
-    }
+    return {"command": command, "version": __version__, "params": params}
 
 
 _graph_opts = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 
 MAX_CRITERION_ALPHABET = 16
 # Longest loop that ``find_positive_path`` searches for.
@@ -33,8 +34,8 @@ class Edge:
 
 
 def mat_vec(m, v):
-    n = len(v)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+    """The matrix with rows ``m`` times the column vector ``v``."""
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 class SimplicialSystem:
@@ -184,6 +185,8 @@ class SimplicialSystem:
 
     @classmethod
     def from_dict(cls, d):
+        if isinstance(d, dict) and "graph" in d:  # as `mcf validate` writes it
+            d = d["graph"]
         try:
             edges = [(e["from"], e["to"], e["label"]) for e in d["edges"]]
             return cls(d["alphabet"], d["vertices"], edges)

@@ -19,11 +19,10 @@ out-edge ``table``.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import GraphError
+from .graph import GraphError, mat_vec
 
 
 class BoundaryTieError(ArithmeticError):
@@ -162,8 +161,8 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     ``vertex``.
 
     The walk is one pass on an integer vector.  The return point is the state
-    before the trailing ``gamma_star`` block, so the last m+1 states are kept;
-    the ratios of the steps telescope to the ratio of its mass to the start's.
+    before the trailing ``gamma_star`` block, which the block's matrix pulls
+    back exactly; the step ratios telescope to its mass over the start's.
     """
     system.out_edges(vertex)  # raises on an unknown vertex
     m = len(gamma_star)
@@ -177,16 +176,15 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
     cur, _ = _integer_point(point)
     start = total = _mass(cur)
     coding = []
-    states = deque([(tuple(cur), total)], maxlen=m + 1)
     v = vertex
     for _ in range(max_steps):
         entry = _advance(table, v, cur, total)
         v = entry[2]
         coding.append(entry[0])
         total = _mass(cur)
-        states.append((tuple(cur), total))
         if len(coding) >= 2 * m and coding[-m:] == star:
-            back, left = states[0]
+            back = mat_vec(system.path_matrix(star), cur)
+            left = sum(back)
             word = system.path_labels(coding[m:-m])
             return tuple(Fraction(c, left) for c in back), word, Fraction(left, start)
     raise MaxStepsExceeded(f"no return within {max_steps} steps")

@@ -22,31 +22,27 @@ MEMORY_GUARD_FLOATS = 2 * 10**8
 
 @dataclass
 class Letter:
-    word_labels: tuple  # labels of the return word w (possibly empty)
-    word_edges: tuple
+    word_edges: tuple  # edges of the return word w (possibly empty)
     matrix: tuple  # exact integer matrix of gamma_star . w
 
 
 @dataclass
 class PressureEstimate:
     kappa: float
-    n: int
-    L: int
     letters: int
     products: int  # class products formed, one per rotation class of n-tuples
     base_vertex: str
     gamma_star: tuple  # label sequence
     residual: float
     bracket: tuple
-    restricted: bool = False
 
 
-def _loop_table(system, base, max_length, avoid, allowed_edges, cap=1):
+def _loop_table(system, base, max_length, gamma_star, allowed_edges, cap):
     """The states of the loop walk, the sets that prune it and its size.
 
     A state is a vertex and the length of the longest suffix of the path
-    that is a proper prefix of ``avoid``.  ``steps[state]`` lists the edges
-    that leave the state without completing ``avoid``, in reverse edge
+    that is a proper prefix of gamma_star.  ``steps[state]`` lists the edges
+    that leave the state without completing gamma_star, in reverse edge
     order, as ``(edge, next state, whether it ends at base)``.  ``live[r]``
     holds the states that can end a loop at ``base`` in 1 to r more edges;
     the list stops where it stops changing.  ``count`` is the number of
@@ -56,19 +52,18 @@ def _loop_table(system, base, max_length, avoid, allowed_edges, cap=1):
     """
     if max_length < 0:
         raise GraphError(f"truncation length L must be nonnegative, got {max_length}")
-    system.out_edges(base)  # raises on an unknown vertex
-    avoid = tuple(avoid)
+    avoid = tuple(gamma_star)
     allowed = None if allowed_edges is None else set(allowed_edges)
     steps = {}
     for v in system.vertices:
         out = [i for i in reversed(system.out[v]) if allowed is None or i in allowed]
-        for k in range(max(len(avoid), 1)):
+        for k in range(len(avoid)):
             steps[v, k] = nxt = []
             for i in out:
                 seen = avoid[:k] + (i,)
                 kk = next(j for j in range(k + 1, -1, -1)
                           if seen[k + 1 - j:] == avoid[:j])
-                if kk < len(avoid):  # else the edge completes the factor
+                if kk < len(avoid):  # else the edge completes gamma_star
                     dst = system.edges[i].dst
                     nxt.append((i, (dst, kk), dst == base))
     counts = dict.fromkeys(steps, 0)  # ways to end a loop in 1 to r edges
@@ -85,41 +80,13 @@ def _loop_table(system, base, max_length, avoid, allowed_edges, cap=1):
     return steps, live, counts[base, 0]
 
 
-def _walk(system, base, max_length, steps, live, rows):
-    """Pairs (loop, rows . loop matrix) in the order of ``loop_words``.
-
-    Only prefixes that can still end a loop are pushed, and each acts once
-    on its parent's rows (``rows`` None carries none).
-    """
-    top = len(live) - 1  # live[top] holds for every r >= top
-    yield (), rows
-    stack = [((base, 0), (), rows)] if (base, 0) in live[top] else []
-    while stack:
-        state, path, rows = stack.pop()
-        can_end = live[min(max_length - 1 - len(path), top)]
-        for i, nxt, end in steps[state]:
-            go = nxt in can_end
-            if end or go:
-                p = path + (i,)
-                r = None if rows is None else system.act(i, [x[:] for x in rows])
-                if end:
-                    yield p, r
-                if go:
-                    stack.append((nxt, p, r))
-
-
-def loop_words(system, base, max_length, avoid, allowed_edges=None):
-    """Loops at ``base`` (as edge index tuples) of length <= max_length that
-    do not contain the edge sequence ``avoid`` as a factor.  Yields the
-    empty loop first; then, for each prefix in depth-first edge order, the
-    loops one edge longer, in reverse edge order."""
-    steps, live, _ = _loop_table(system, base, max_length, avoid, allowed_edges)
-    return (w for w, _ in _walk(system, base, max_length, steps, live, None))
-
-
 def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
                            max_letters=200000):
     """Return-word letters of the acceleration on the cylinder of gamma_star.
+
+    The letters are the loops at the base of length <= max_length without
+    the factor gamma_star, depth first from the empty loop; the walk pushes
+    only prefixes that can still end one, each acting once on its parent's rows.
 
     Matrices always come from ``system`` even when the loops are confined to
     ``allowed_edges``; that is what restricting a larger ambient graph to a
@@ -141,9 +108,22 @@ def build_induced_alphabet(system, gamma_star, max_length, allowed_edges=None,
         raise GraphError(
             f"induced alphabet exceeds the guard of {max_letters} letters; lower L"
         )
-    rows = [list(r) for r in m_star]
-    return [Letter(system.path_labels(w), w, tuple(map(tuple, r)))
-            for w, r in _walk(system, base, max_length, steps, live, rows)]
+    letters = [Letter((), m_star)]
+    top = len(live) - 1  # live[top] holds for every r >= top
+    stack = [((base, 0), (), m_star)] if (base, 0) in live[top] else []
+    while stack:
+        state, path, rows = stack.pop()
+        can_end = live[min(max_length - 1 - len(path), top)]
+        for i, nxt, end in steps[state]:
+            go = nxt in can_end
+            if end or go:
+                p = path + (i,)
+                r = system.act(i, [list(x) for x in rows])
+                if end:
+                    letters.append(Letter(p, tuple(map(tuple, r))))
+                if go:
+                    stack.append((nxt, p, r))
+    return letters
 
 
 # Representatives per block of the tuple kernel: a block's (d, d, BLOCK)
@@ -217,7 +197,9 @@ def tuple_log_radii(letters, n):
         raise GraphError(f"tuple length n must be at least 1, got {n}")
     k = len(letters)
     d = len(letters[0].matrix)
-    if k**n * d * d > MEMORY_GUARD_FLOATS:
+    # far beyond the guard, the log decides: a large n forms no big k**n
+    if (n * math.log2(k) > math.log2(MEMORY_GUARD_FLOATS) + 1
+            or k**n * d * d > MEMORY_GUARD_FLOATS):
         raise GraphError(
             f"{k}^{n} tuple products exceed the memory guard; lower L or n"
         )
@@ -330,15 +312,12 @@ def pressure_analysis(system, max_length, n, gamma_star=None, allowed_edges=None
     kappa, residual = solve_kappa(records, n)
     return PressureEstimate(
         kappa=kappa,
-        n=n,
-        L=max_length,
         letters=len(letters),
         products=records.size,
         base_vertex=base,
         gamma_star=system.path_labels(gamma_star),
         residual=residual,
         bracket=KAPPA_BRACKET,
-        restricted=allowed_edges is not None,
     )
 
 

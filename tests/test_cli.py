@@ -46,13 +46,27 @@ def test_validate_dot_output(runner):
 
 
 def test_validate_round_trips_through_graph_file(runner, tmp_path):
-    r = invoke(runner, "validate", "--catalog", "gauss")
-    graph = json.loads(r.output)["graph"]
+    # --graph reads validate's whole output, and the bare graph inside it
     f = tmp_path / "g.json"
-    f.write_text(json.dumps(graph))
-    r2 = invoke(runner, "criterion", "--graph", str(f))
-    assert r2.exit_code == 0
-    assert json.loads(r2.output)["passes"]
+    assert invoke(runner, "validate", "--catalog", "gauss", "--out", str(f)).exit_code == 0
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(json.loads(f.read_text())["graph"]))
+    for path in (f, bare):
+        r2 = invoke(runner, "criterion", "--graph", str(path))
+        assert r2.exit_code == 0
+        assert json.loads(r2.output)["passes"]
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--catalog", "gauss", "--format", "dot"],
+    ["walk", "--catalog", "gauss", "--point", "2/7,5/7", "--n", "3"],
+    ["pressure", "--catalog", "gauss", "--L", "4", "--n", "1"],
+])
+def test_unwritable_out_is_exit_2(runner, tmp_path, args):
+    out = str(tmp_path / "missing" / "x")
+    r = runner.invoke(main, args + ["--out", out])
+    assert r.exit_code == 2
+    assert out in r.output and "Traceback" not in r.output
 
 
 def test_missing_source_is_exit_2(runner):
@@ -209,6 +223,17 @@ def test_simulate_out_of_range_is_exit_2(runner, args):
     assert r.exit_code == 2
 
 
+def test_simulate_q0_beyond_the_float_range_is_not_a_traceback(runner):
+    args = ["simulate", "--catalog", "gauss", "--trials", "3", "--n", "2", "--seed", "1"]
+    r = runner.invoke(main, args + ["--q0", "1e400,1"])
+    assert r.exit_code == 2
+    assert "q0 must be positive" in r.output and "Traceback" not in r.output
+    big = json.loads(invoke(runner, *args, "--q0", "1e400,3e400").output)
+    small = json.loads(invoke(runner, *args, "--q0", "1,3").output)
+    assert big.pop("params") != small.pop("params")
+    assert big == small
+
+
 @pytest.mark.parametrize("args", [
     ["simulate", "--catalog", "gauss", "--seed", str(2**64)],
     ["simulate", "--catalog", "gauss", "--seed", "-1"],
@@ -274,7 +299,8 @@ def test_dimension_command_reports_bound(runner):
     r = invoke(runner, "dimension", "--catalog", "arnoux-rauzy", "--dim", "2",
                "--L", "10", "--n", "2")
     d = json.loads(r.output)
-    assert d["restricted"]
+    assert d["params"]["restricted"]
+    assert "restricted" not in d and "L" not in d and "n" not in d
     assert d["bound"] < 2.0
     assert d["proper"]
     assert d["letters"] < d["products"] < d["letters"] ** 2

@@ -167,7 +167,8 @@ def test_every_short_return_word_is_a_letter(name):
     base = s.edges[gamma[0]].src
     m_gamma = s.path_matrix(gamma)
     max_length = 12
-    letters = {l.word_labels for l in build_induced_alphabet(s, gamma, max_length)}
+    letters = {s.path_labels(l.word_edges)
+               for l in build_induced_alphabet(s, gamma, max_length)}
     # deep points: at 62 bits most returns end in a tie
     rng = random.Random(5)
     checked = 0

@@ -614,6 +614,21 @@ def test_engines_reject_a_q0_of_the_wrong_length(q0):
         cylinder_measure(s, [], q0)
 
 
+def test_engines_walk_a_q0_beyond_the_float_range_like_its_scaled_copy():
+    # q is projective, so (10**400, 3 * 10**400) walks like (1, 3)
+    s = gauss()
+    v = s.vertices[0]
+    big = (10**400, 3 * 10**400)
+    assert (batch_record_paths(s, v, big, 40, 200, 3)
+            == batch_record_paths(s, v, (1, 3), 40, 200, 3)).all()
+    stops = (JumpCoord("1", 2), Win("1"))
+    assert (estimate_order_prob(s, v, big, *stops, 500, 4)
+            == estimate_order_prob(s, v, (1, 3), *stops, 500, 4))
+    # a coordinate that underflows against the largest is not positive
+    with pytest.raises(GraphError, match="q0 must be positive"):
+        batch_record_paths(s, v, (10**400, 1), 5, 10, 1)
+
+
 def test_code_blocks_do_not_change_the_coding(monkeypatch):
     s = build("arnoux-rauzy", 3).system
     v = s.vertices[0]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -15,7 +16,6 @@ from mcf.thermo import (
     asymptotic_gasket_bound,
     build_induced_alphabet,
     hausdorff_bound,
-    loop_words,
     pressure_analysis,
     solve_kappa,
     tuple_log_radii,
@@ -41,7 +41,7 @@ def expand(records):
 def log_radius(matrix):
     """log spectral radius of one matrix, as the radius of a one-letter
     alphabet."""
-    return float(expand(tuple_log_radii([Letter((), (), matrix)], 1))[0])
+    return float(expand(tuple_log_radii([Letter((), matrix)], 1))[0])
 
 
 def test_perron_oracle_fibonacci_square():
@@ -166,9 +166,19 @@ def test_tuple_guard_raises_before_allocating():
     assert peak < 2**16
 
 
+def test_tuple_guard_at_a_huge_n_needs_no_power_of_k():
+    # 836**(10**7) has 97 million bits: the guard must not compute it
+    s = build("brun", 3).system
+    letters = build_induced_alphabet(s, find_positive_path(s), 12)
+    start = time.process_time()
+    with pytest.raises(GraphError, match=r"836\^10000000 tuple products exceed"):
+        tuple_log_radii(letters, 10**7)
+    assert time.process_time() - start < 1.0
+
+
 def test_pressure_inputs_out_of_range_raise():
     s, g = gauss_star()
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="nonnegative"):
         build_induced_alphabet(s, g, -1)
     with pytest.raises(GraphError):
         tuple_log_radii(build_induced_alphabet(s, g, 4), 0)
@@ -188,12 +198,12 @@ def test_hausdorff_bound_rejects_an_empty_alphabet():
 
 
 def brute_force_loops(s, base, L, avoid, allowed):
-    """Oracle for ``loop_words``: every label word of length <= L, followed
-    from ``base`` (a vertex's out-labels are distinct, so the labels fix the
-    path), kept when it is a loop in ``allowed`` without the factor
-    ``avoid``.  The empty factor occurs in every nonempty word.  Ordered as
-    documented: the empty loop, then the loops grouped by their prefix in
-    depth-first edge order, each group in reverse edge order."""
+    """Oracle for the letters of ``build_induced_alphabet``: every label
+    word of length <= L, followed from ``base`` (a vertex's out-labels are
+    distinct, so the labels fix the path), kept when it is a loop in
+    ``allowed`` without the factor ``avoid``.  Ordered as documented: the
+    empty loop, then the loops grouped by their prefix in depth-first edge
+    order, each group in reverse edge order."""
     loops = []
     for length in range(1, L + 1):
         for labels in itertools.product(s.alphabet, repeat=length):
@@ -218,10 +228,10 @@ def brute_force_loops(s, base, L, avoid, allowed):
 
 
 def dead_end():
-    """Vertex c cannot reach the base a."""
+    """Vertex c cannot reach the base a; a has the positive loop 2 3 1."""
     return SimplicialSystem(("1", "2", "3"), ["a", "b", "c"], [
-        ("a", "a", "1"), ("a", "b", "2"), ("a", "c", "3"),
-        ("b", "a", "1"), ("b", "c", "2"), ("c", "c", "1"), ("c", "c", "2"),
+        ("a", "a", "1"), ("a", "b", "2"), ("a", "c", "3"), ("b", "a", "1"),
+        ("b", "c", "2"), ("b", "b", "3"), ("c", "c", "1"), ("c", "c", "2"),
     ])
 
 
@@ -230,26 +240,21 @@ def dead_end():
 ])
 def test_loop_words_match_a_brute_force_oracle(name, dim, L):
     s, allowed = system_and_edges(name, dim)
-    g = (0, 1, 3) if name == "dead-end" else find_positive_path(s, allowed_edges=allowed)
+    g = tuple(find_positive_path(s, allowed_edges=allowed))
+    if name == "dead-end":
+        assert g == (1, 5, 3)
     base = s.edges[g[0]].src
-    for avoid in ((), tuple(g), (s.out[base][0],)):
-        for length in (0, 1, L):
-            got = list(loop_words(s, base, length, avoid, allowed))
-            assert got == brute_force_loops(s, base, length, avoid, allowed)
-            if length == L and avoid:
-                assert len(got) > 3
-
-
-def test_loop_words_reject_a_negative_length():
-    s, g = gauss_star()
-    with pytest.raises(GraphError, match="nonnegative"):
-        next(loop_words(s, "v", -1, g))
+    for length in (0, 1, L):
+        got = [l.word_edges for l in build_induced_alphabet(s, g, length, allowed)]
+        assert got == brute_force_loops(s, base, length, g, allowed)
+        if length == L:
+            assert len(got) > 3
 
 
 def test_loop_words_exclude_forbidden_factor():
     s, g = gauss_star()
-    words = loop_words(s, "v", 2, tuple(g))
-    labeled = {s.path_labels(w) for w in words}
+    letters = build_induced_alphabet(s, g, 2)
+    labeled = {s.path_labels(l.word_edges) for l in letters}
     assert labeled == {(), ("1",), ("2",), ("1", "1"), ("2", "1"), ("2", "2")}
 
 
@@ -326,7 +331,7 @@ def test_partition_sum_at_zero_counts_tuples():
 def test_partition_sum_single_letter_oracle():
     s, g = gauss_star()
     letters = [build_induced_alphabet(s, g, 0)[0]]  # just gamma_star
-    assert letters[0].word_labels == ()
+    assert letters[0].word_edges == ()
     assert letters[0].matrix == ((1, 1), (1, 2))
     lam = math.log((3 + math.sqrt(5)) / 2)
     assert math.isclose(pressure_at(letters, 1, 1.0), -lam, rel_tol=1e-9)
