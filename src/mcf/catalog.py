@@ -399,7 +399,6 @@ def _brun_graph(n):
 def fold(system):
     """Merge vertices with identical labeled out-edge maps until stable."""
     names = {v: v for v in system.vertices}
-    edges = list(system.edges)
     while True:
         sig = {}
         for v in system.vertices:
@@ -409,7 +408,7 @@ def fold(system):
             )
             sig.setdefault((bool(system.out[v]), key), []).append(v)
         changed = False
-        for (_, _), group in sig.items():
+        for group in sig.values():
             rep = min(names[v] for v in group)
             for v in group:
                 if names[v] != rep:
@@ -418,14 +417,8 @@ def fold(system):
         if not changed:
             break
     kept = sorted({names[v] for v in system.vertices})
-    seen = set()
-    new_edges = []
-    for e in edges:
-        item = (names[e.src], names[e.dst], e.label)
-        if item not in seen:
-            seen.add(item)
-            new_edges.append(item)
-    return SimplicialSystem(system.alphabet, kept, new_edges)
+    edges = dict.fromkeys((names[e.src], names[e.dst], e.label) for e in system.edges)
+    return SimplicialSystem(system.alphabet, kept, list(edges))
 
 
 def _selmer_graph(n):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -250,8 +249,13 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
             break
         law = edge_law(system, cur, q)
         u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
-        cdf = itertools.accumulate(law.values())
-        chosen = next((i for i, c in zip(law, cdf) if u < c), out[-1])
+        acc = Fraction(0)
+        chosen = out[-1]
+        for i in out:
+            acc += law[i]
+            if u < acc:
+                chosen = i
+                break
         present = tuple(entry[1] for entry in system.table[cur])
         loser = index[system.edges[chosen].label]
         q = tuple(system.act(chosen, [list(q)])[0])
@@ -561,13 +565,15 @@ def _record_dtype(system):
 
 def _q_lanes(system, vertex, q0, trials):
     system.check_point(q0, "q0")
-    if all(isinstance(c, numbers.Rational) for c in q0):
-        # q is projective: scaled by the power of two that brings its
-        # largest coordinate near 1, a rational q0 converts at any scale
-        top = max(abs(Fraction(c)) for c in q0)
-        unit = Fraction(2) ** (top.numerator.bit_length() - top.denominator.bit_length())
-        q0 = [Fraction(c) / unit for c in q0]
-    q = np.array([float(c) for c in q0] + [0.0])
+    try:
+        q0 = [Fraction(c) for c in q0]
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise GraphError("q0 must be positive") from None
+    # q is projective: scaled exactly by the power of two that brings its
+    # largest coordinate near 1, q0 converts to floats at any scale
+    top = max(map(abs, q0))
+    unit = Fraction(2) ** (top.numerator.bit_length() - top.denominator.bit_length())
+    q = np.array([float(c / unit) for c in q0] + [0.0])
     if not (q[:-1] > 0).all():
         raise GraphError("q0 must be positive")
     system.out_edges(vertex)  # raises on an unknown vertex

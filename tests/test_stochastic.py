@@ -624,9 +624,15 @@ def test_engines_walk_a_q0_beyond_the_float_range_like_its_scaled_copy():
     stops = (JumpCoord("1", 2), Win("1"))
     assert (estimate_order_prob(s, v, big, *stops, 500, 4)
             == estimate_order_prob(s, v, (1, 3), *stops, 500, 4))
-    # a coordinate that underflows against the largest is not positive
-    with pytest.raises(GraphError, match="q0 must be positive"):
-        batch_record_paths(s, v, (10**400, 1), 5, 10, 1)
+    # floats scale on the same path, exactly
+    floats = (2.0**1000, 3 * 2.0**1000)
+    assert (batch_record_paths(s, v, floats, 40, 200, 3)
+            == batch_record_paths(s, v, (1, 3), 40, 200, 3)).all()
+    # a coordinate that underflows against the largest is not positive,
+    # and neither is an infinite or NaN float
+    for q0 in [(10**400, 1), (1.0, 10**400), (math.inf, 1), (math.nan, 1)]:
+        with pytest.raises(GraphError, match="q0 must be positive"):
+            batch_record_paths(s, v, q0, 5, 10, 1)
 
 
 def test_code_blocks_do_not_change_the_coding(monkeypatch):
