@@ -48,36 +48,42 @@ def _check_composition(n, bits, max_bits):
         raise GraphError(f"2**{bits} has no composition into {n} positive parts")
 
 
-def _compositions(rng, k, n, bits):
-    """k uniform compositions of 2**bits into n positive parts (gap method),
-    as the rows of a (k, n) int64 array.
+def _gaps(rng, m, n, bits):
+    """m compositions of 2**bits into n parts (gap method), as the rows of an
+    (m, n) int64 array.
 
     Each row sorts n - 1 cuts drawn from 1..2**bits - 1 and takes their gaps,
-    column by column.  Rows with a repeated cut have a zero part and are
-    redrawn, in row order, until 1000 draws have been made.
+    column by column.  A row with a repeated cut has a zero part.
     """
     hi = 1 << bits
+    cuts = rng.integers(1, hi, size=(m, n - 1))
+    cuts.sort(axis=1)
+    ends = [0, *cuts.T]
+    pts = np.empty((m, n), dtype=np.int64)
+    for col, right, left in zip(pts.T, ends[1:], ends):
+        np.subtract(right, left, out=col)
+    # hi - left, without 2**63, which int64 does not hold
+    np.subtract(hi - 1, ends[-1], out=pts[:, -1])
+    pts[:, -1] += 1
+    return pts
 
-    def draw(m):
-        cuts = rng.integers(1, hi, size=(m, n - 1))
-        cuts.sort(axis=1)
-        ends = [0, *cuts.T]
-        pts = np.empty((m, n), dtype=np.int64)
-        for col, right, left in zip(pts.T, ends[1:], ends):
-            np.subtract(right, left, out=col)
-        # hi - left, without 2**63, which int64 does not hold
-        np.subtract(hi - 1, ends[-1], out=pts[:, -1])
-        pts[:, -1] += 1
-        return pts
 
-    pts = draw(k)
+def _zero_rows(pts):
+    """Rows of ``pts`` with a zero part, column by column."""
+    return functools.reduce(np.logical_or, (c == 0 for c in pts.T))
+
+
+def _redraw(rng, pts, bits):
+    """Redraw, in place and in row order, the rows of the ``_gaps`` draw
+    ``pts`` that have a zero part, until none is left; raises once a row has
+    been drawn 1000 times, its first draw included.  Returns ``pts``."""
     for redraws in itertools.count():
-        bad = functools.reduce(np.logical_or, (c == 0 for c in pts.T))
+        bad = _zero_rows(pts)
         if not bad.any():
             return pts
         if redraws == 999:  # 1000 draws before giving up
             raise GraphError("failed to sample distinct cut points")
-        pts[bad] = draw(np.count_nonzero(bad))
+        pts[bad] = _gaps(rng, np.count_nonzero(bad), pts.shape[1], bits)
 
 
 def sample_simplex_integers(rng, n, bits=62):
@@ -87,7 +93,7 @@ def sample_simplex_integers(rng, n, bits=62):
     for one part, which is 2**bits itself.
     """
     _check_composition(n, bits, 63 if n > 1 else 62)
-    return tuple(_compositions(rng, 1, n, bits)[0].tolist())
+    return tuple(_redraw(rng, _gaps(rng, 1, n, bits), bits)[0].tolist())
 
 
 # -- measures --------------------------------------------------------------
@@ -310,9 +316,10 @@ def estimate_order_prob(
 # only then are the lane arrays compacted.  Every other reduction over a
 # lane's values, such as the max that rescales q, also runs column by column.
 # The recording engines fill a step-major array of ``_record_dtype`` and
-# return its transpose.  ``batch_code_points`` walks its lanes in blocks of
-# ``_CODE_BLOCK``, which bound the step's temporaries and, as its coding is
-# exact, leave its output as it is.  A lane of ``batch_fire_steps`` walks
+# return its transpose.  ``batch_code_points`` draws and walks its lanes in
+# blocks of ``_CODE_BLOCK``, which bound the points and the step's
+# temporaries and, as its coding is exact and its draws keep their order,
+# leave its output as it is.  A lane of ``batch_fire_steps`` walks
 # until all of its stops have fired, one of ``estimate_order_prob`` until one
 # has, since the order is decided then.
 # Both run one firing loop on every graph.  Its chooser draws a self-loop
@@ -324,6 +331,8 @@ def estimate_order_prob(
 # at most 1 - 2**-53, so a run multiplies q_e' by at most 1 + min(K, 2**53).
 _RUN_CAP = 2**53
 
+# Lanes of a ``batch_code_points`` block: it bounds the points drawn at once
+# as well as the lanes walked at once.
 _CODE_BLOCK = 2**14
 
 
@@ -653,6 +662,32 @@ def batch_record_paths(system, vertex, q0, n_steps, trials, seed):
     return rec.T
 
 
+def _code_blocks(rng, trials, n, bits):
+    """The points of ``batch_code_points`` with their output rows, in blocks
+    of at most ``_CODE_BLOCK``, each drawn just before it is walked.
+
+    A block's rows come from one ``_gaps`` draw, and a block without a zero
+    part is walked as drawn.  Rows with a zero part are deferred: after the
+    last block they get ``_redraw``'s rounds, in row order, and are walked
+    last.  So the stream gives the points of ``_redraw`` over one ``_gaps``
+    draw of every row, whatever the block size.
+    """
+    late = []
+    for lo in range(0, trials, _CODE_BLOCK):
+        pts = _gaps(rng, min(_CODE_BLOCK, trials - lo), n, bits)
+        rows = np.arange(lo, lo + len(pts))
+        bad = _zero_rows(pts)
+        if bad.any():
+            late.append((pts[bad], rows[bad]))
+            pts, rows = pts[~bad], rows[~bad]
+        yield pts, rows
+    if late:
+        pts, rows = map(np.concatenate, zip(*late))
+        _redraw(rng, pts, bits)
+        for lo in range(0, len(pts), _CODE_BLOCK):
+            yield pts[lo:lo + _CODE_BLOCK], rows[lo:lo + _CODE_BLOCK]
+
+
 def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     """Coding of uniformly sampled simplex points, exact and vectorized.
 
@@ -661,28 +696,28 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     fit in int64, so ``bits`` runs from 1 to 62.  Trials that hit a tie are
     marked with -2 from the tie step onward, and trials in a hole with -1.
     The result is a view, the transpose of a step-major array of
-    ``_record_dtype``: int8 up to 128 letters.  The points come from the
+    ``_record_dtype``: int8 up to 128 letters.  The points are those of the
     gap-method sampler of ``sample_simplex_integers``, which raises after
-    1000 draws.
+    1000 draws of a row; ``_code_blocks`` draws them a block at a time, as
+    they are walked, in an order that does not depend on the block size.
     """
     n = system.dim
     _check_composition(n, bits, 62)
     _non_negative(n_steps=n_steps, trials=trials)
     system.out_edges(vertex)  # raises on an unknown vertex
     start = system.vertex_index[vertex]
-    pts = _compositions(make_rng(seed), trials, n, bits)
     table = _padded_table(system)
     rec = np.full((n_steps, trials), -1, dtype=_record_dtype(system))
     vals = np.empty((min(trials, _CODE_BLOCK), n + 1), dtype=np.int64)
-    for lo in range(0, trials, _CODE_BLOCK):
-        block = rec[:, lo:lo + _CODE_BLOCK]
-        lanes = _Lanes(start, vals[:block.shape[1]])
-        lanes.vals[:, :-1] = pts[lo:lo + _CODE_BLOCK]
+    for pts, rows in _code_blocks(make_rng(seed), trials, n, bits):
+        lanes = _Lanes(start, vals[:len(pts)])
+        lanes.trial = rows
+        lanes.vals[:, :-1] = pts
         lanes.vals[:, -1] = _NEVER_MIN
         for step in range(n_steps):
-            block[step, lanes.trial] = _step(table, lanes, _exact_min)[1]
+            rec[step, lanes.trial] = _step(table, lanes, _exact_min)[1]
             # a tie at the minimum leaves a zero coordinate behind
-            tied = np.logical_or.reduce([c == 0 for c in lanes.vals.T[:-1]])
-            block[step:, lanes.trial[tied]] = -2
+            tied = _zero_rows(lanes.vals[:, :-1])
+            rec[step:, lanes.trial[tied]] = -2
             lanes.keep(~tied)
     return rec.T

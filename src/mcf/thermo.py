@@ -190,12 +190,18 @@ def tuple_log_radii(letters, n):
     formed per class, for its smallest tuple (first letter most
     significant), over blocks of ``BLOCK`` representatives.  The records
     follow that tuple's order, and a size is the number of tuples in its
-    class, so the sizes sum to k^n; nothing has k^n entries."""
+    class, so the sizes sum to k^n; nothing has k^n entries.  One letter
+    takes one product at any n."""
     if not letters:
         raise GraphError("empty induced alphabet")
     if n < 1:
         raise GraphError(f"tuple length n must be at least 1, got {n}")
     k = len(letters)
+    if k == 1 and n > 1:
+        # one class, of size 1, and rho(M^n) = rho(M)^n: no n-fold product
+        records = tuple_log_radii(letters, 1)
+        records["log_radius"] *= n
+        return records
     d = len(letters[0].matrix)
     # far beyond the guard, the log decides: a large n forms no big k**n
     if (n * math.log2(k) > math.log2(MEMORY_GUARD_FLOATS) + 1

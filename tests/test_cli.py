@@ -330,6 +330,8 @@ def test_pressure_of_one_letter_at_a_large_n_is_exit_2(runner):
     ["pressure", "--catalog", "brun", "--dim", "3", "--L", "40", "--n", "1"],
     ["criterion", "--catalog", "brun", "--dim", "17"],
     ["validate", "--catalog", "poincare", "--dim", "15"],
+    # one letter: one product, whatever n
+    ["pressure", "--catalog", "gauss", "--L", "0", "--n", "10000000"],
 ])
 def test_size_guards_exit_2_without_building_everything(args):
     # In a child process, so that a guard that waits for the whole alphabet

@@ -443,6 +443,20 @@ def test_batch_code_points_matches_exact_coding():
             continue
         labels = tuple(s.alphabet[int(c)] for c in row)
         assert tuple(r.edge_label for r in orbit(s, "v", pt, 6)[2]) == labels
+    # 4 cuts in 1..31 repeat in about a fifth of the rows: the redrawn rows
+    # code as the sampler's redraw rounds draw them
+    s = build("brun", 5).system
+    v = s.vertices[0]
+    rec = batch_code_points(s, v, 6, 200, seed=8, bits=5)
+    rng = make_rng(8)
+    pts = stochastic._gaps(rng, 200, 5, 5)
+    redrawn = stochastic._zero_rows(pts)
+    stochastic._redraw(rng, pts, 5)
+    untied = ~(rec == -2).any(axis=1)
+    assert (redrawn & untied).sum() >= 10
+    for t in np.flatnonzero(untied):
+        labels = [r.edge_label for r in orbit(s, v, tuple(pts[t].tolist()), 6)[2]]
+        assert [s.alphabet[c] for c in rec[t]] == labels
 
 
 def test_records_widen_past_128_letters():
@@ -486,10 +500,19 @@ def test_path_records_take_one_byte_per_label():
 
 
 def test_coded_points_are_built_column_by_column():
-    # 1e5 points of 3 int64 parts take 2.4 MB, their cuts 1.6 MB and an int8
-    # record of 4 steps 0.4 MB; a (1e5, 4) int64 temporary would add 3.2 MB
+    # The coder draws and walks one block of 2**14 points at a time: at 3
+    # parts, 0.4 MB of int64 parts, 0.3 MB of cuts and 0.5 MB of lane values
+    # with their spare column, whatever the trial count.  An int8 record of 4
+    # steps takes 0.4 MB per 1e5 points; all 1e6 points of 5 parts at once
+    # would take 40 MB, their cuts 32 MB.
     s = brun3()
     assert _peak_mb(lambda: batch_code_points(s, s.vertices[0], 4, 10**5, 1)) < 6
+    for dim in (3, 5):
+        s = build("brun", dim).system
+        out = []
+        peak = _peak_mb(lambda: out.append(
+            batch_code_points(s, s.vertices[0], 4, 10**6, 1)))
+        assert peak - out[0].nbytes / 2**20 < 4
 
 
 def _replay_until_hole(s, vertex, row):
@@ -642,6 +665,30 @@ def test_code_blocks_do_not_change_the_coding(monkeypatch):
     monkeypatch.setattr(stochastic, "_CODE_BLOCK", 7)
     assert (batch_code_points(s, v, 10, 500, 9, bits=10) == whole).all()
     assert (whole == -2).any() and (whole == -1).any()
+    # Rows with a repeated cut are redrawn after the last block, in row order.
+    # brun(5) at bits=3 redraws about 65 % of its rows over many rounds (4
+    # cuts in 1..7 are distinct with probability 840/2401), brun(3) at bits=2
+    # a third of them.
+    draws = []
+    gaps = stochastic._gaps
+
+    def counted(rng, m, n, bits):
+        draws.append(m)
+        return gaps(rng, m, n, bits)
+
+    monkeypatch.setattr(stochastic, "_gaps", counted)
+    for dim, bits, rounds in ((5, 3, 16), (3, 2, 5)):
+        s = build("brun", dim).system
+        v = s.vertices[0]
+        for block in (2**14, 1, 7):
+            monkeypatch.setattr(stochastic, "_CODE_BLOCK", block)
+            draws.clear()
+            code = batch_code_points(s, v, 6, 300, 9, bits=bits)
+            if block == 2**14:
+                whole = code
+            assert (code == whole).all()
+            # one draw per block, then one per redraw round
+            assert len(draws) == -(-300 // block) + rounds
 
 
 def test_order_walks_stop_once_their_order_is_decided(monkeypatch):

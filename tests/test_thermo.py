@@ -334,7 +334,9 @@ def test_partition_sum_single_letter_oracle():
     assert letters[0].word_edges == ()
     assert letters[0].matrix == ((1, 1), (1, 2))
     lam = math.log((3 + math.sqrt(5)) / 2)
-    assert math.isclose(pressure_at(letters, 1, 1.0), -lam, rel_tol=1e-9)
+    # rho(M^n) = rho(M)^n, so P(1) = -lam at every n
+    for n in (1, 3, 10**6):
+        assert math.isclose(pressure_at(letters, n, 1.0), -lam, rel_tol=1e-9)
 
 
 def test_partition_sum_decreasing_in_kappa():
