@@ -401,12 +401,9 @@ def fold(system):
     names = {v: v for v in system.vertices}
     while True:
         sig = {}
-        for v in system.vertices:
-            key = tuple(
-                sorted((e.label, names[e.dst]) for e in
-                       (system.edges[i] for i in system.out[v]))
-            )
-            sig.setdefault((bool(system.out[v]), key), []).append(v)
+        for v, out in system.table.items():
+            key = tuple((li, names[dst]) for _, li, dst, _ in out)
+            sig.setdefault(key, []).append(v)
         changed = False
         for group in sig.values():
             rep = min(names[v] for v in group)

@@ -92,7 +92,7 @@ def _resolve_seed(seed):
 def _emit(payload, out, fmt):
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    elif fmt == "csv":
+    else:  # csv
         buf = io.StringIO()
         rows = payload.get("rows")
         w = csv.writer(buf)
@@ -105,8 +105,6 @@ def _emit(payload, out, fmt):
             for k in sorted(payload):
                 w.writerow([k, json.dumps(payload[k], sort_keys=True, default=str)])
         text = buf.getvalue()
-    else:
-        raise DomainFailure(f"format {fmt!r} not supported for this command")
     _write(text, out)
 
 
@@ -302,9 +300,8 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
         for _ in range(depth):
             nxt = []
             for cur, pfx, qm in frontier:
-                for i in system.out_edges(cur):
-                    nxt.append((system.edges[i].dst, pfx + [i],
-                                system.act(i, [list(qm)])[0]))
+                for i, _, dst, _ in system.table[cur]:
+                    nxt.append((dst, pfx + [i], system.act(i, [list(qm)])[0]))
             frontier = nxt
             for cur, pfx, qm in frontier:
                 m = _cone_mass(qm)

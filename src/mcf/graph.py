@@ -52,35 +52,29 @@ class SimplicialSystem:
         )
         self.label_index = {a: i for i, a in enumerate(self.alphabet)}
         self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self.out = {v: [] for v in self.vertices}
-        self._validate()
-        for i, e in enumerate(self.edges):
-            self.out[e.src].append(i)
-        for v in self.vertices:
-            self.out[v].sort(key=lambda i: self.label_index[self.edges[i].label])
-        self.holes = tuple(v for v in self.vertices if not self.out[v])
-
-    def _validate(self):
         if not self.alphabet:
             raise GraphError("empty alphabet")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(self.label_index) != len(self.alphabet):
             raise GraphError("duplicate letters in alphabet")
         if len(self.vertex_index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
-        seen = set()
-        for e in self.edges:
-            if e.src not in self.vertex_index:
+        # per vertex, its out-edges as (edge, label index, dst, label) in label order
+        out = {v: {} for v in self.vertices}
+        for i, e in enumerate(self.edges):
+            if e.src not in out:
                 raise GraphError(f"edge source {e.src!r} is not a vertex")
-            if e.dst not in self.vertex_index:
+            if e.dst not in out:
                 raise GraphError(f"edge target {e.dst!r} is not a vertex")
-            if e.label not in self.label_index:
+            li = self.label_index.get(e.label)
+            if li is None:
                 raise GraphError(f"edge label {e.label!r} is not in the alphabet")
-            key = (e.src, e.label)
-            if key in seen:
+            if li in out[e.src]:
                 raise GraphError(
                     f"vertex {e.src!r} has two out-edges labeled {e.label!r}"
                 )
-            seen.add(key)
+            out[e.src][li] = (i, li, e.dst, e.label)
+        self.table = {v: tuple(by[li] for li in sorted(by)) for v, by in out.items()}
+        self.holes = tuple(v for v, entries in self.table.items() if not entries)
 
     # -- basic queries ----------------------------------------------------
 
@@ -88,33 +82,23 @@ class SimplicialSystem:
     def dim(self):
         return len(self.alphabet)
 
-    def out_edges(self, v):
+    def _entries(self, v):
         if v not in self.vertex_index:
             raise GraphError(f"unknown vertex {v!r}")
-        return self.out[v]
+        return self.table[v]
 
-    def out_labels(self, v):
-        return tuple(self.edges[i].label for i in self.out_edges(v))
+    def out_edges(self, v):
+        """The out-edge indices of ``v``, in label order."""
+        return tuple(entry[0] for entry in self._entries(v))
 
     def edge_by_label(self, v, label):
-        for i in self.out_edges(v):
-            if self.edges[i].label == label:
+        for i, _, _, lab in self._entries(v):
+            if lab == label:
                 return i
         raise GraphError(f"vertex {v!r} has no out-edge labeled {label!r}")
 
     def is_hole(self, v):
-        return not self.out_edges(v)
-
-    @cached_property
-    def table(self):
-        """Out-edges of every vertex as ``(edge, label index, dst, label)``,
-        in label order: the labels that compete at the vertex."""
-
-        def entry(i):
-            e = self.edges[i]
-            return i, self.label_index[e.label], e.dst, e.label
-
-        return {v: tuple(map(entry, self.out[v])) for v in self.vertices}
+        return not self._entries(v)
 
     # -- the edge action ----------------------------------------------------
 
@@ -420,6 +404,7 @@ def find_positive_path(system, allowed_edges=None):
     searching a subgraph whose dynamics is restricted from a larger ambient
     graph.  Returns a list of edge indices or None.
     """
+    allowed = range(len(system.edges)) if allowed_edges is None else set(allowed_edges)
     n = system.dim
     full = tuple((1 << n) - 1 for _ in range(n))
     init = tuple(1 << j for j in range(n))
@@ -432,7 +417,7 @@ def find_positive_path(system, allowed_edges=None):
                 out = system.table[v]
                 competing = sum(1 << entry[1] for entry in out)
                 for i, loser, dst, _ in out:
-                    if allowed_edges is not None and i not in allowed_edges:
+                    if i not in allowed:
                         continue
                     bit = 1 << loser
                     p2 = tuple(r | bit if r & competing else r for r in pat)

@@ -101,15 +101,14 @@ def sample_simplex_integers(rng, n, bits=62):
 
 def edge_law(system, vertex, q):
     """Exact probabilities of the out-edges at a vertex under distortion q."""
-    out = system.out_edges(vertex)
-    if not out:
+    if system.is_hole(vertex):
         raise GraphError(f"vertex {vertex!r} is a hole")
     system.check_point(q, "q")
-    weights = [Fraction(q[system.label_index[system.edges[i].label]]) for i in out]
-    total = sum(weights)
-    if any(w <= 0 for w in weights):
+    weights = {i: Fraction(q[li]) for i, li, _, _ in system.table[vertex]}
+    total = sum(weights.values())
+    if any(w <= 0 for w in weights.values()):
         raise GraphError("q must be positive on the competing labels")
-    return {i: w / total for i, w in zip(out, weights)}
+    return {i: w / total for i, w in weights.items()}
 
 
 def cylinder_measure(system, path, q):
@@ -240,6 +239,7 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
     if any(c <= 0 for c in q):
         raise GraphError("q0 must be positive")
+    system.out_edges(vertex)  # raises on an unknown vertex
     start = np.array([q], dtype=object)
     index = system.label_index
     cur, path, fired_at = vertex, [], {}
@@ -250,23 +250,22 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
         for j, s in enumerate(stops):
             if j not in fired_at and s.fires(walks, index)[0]:
                 fired_at[j] = len(path)
-        out = system.out_edges(cur)
+        out = system.table[cur]
         if len(fired_at) == len(stops) or len(path) >= max_steps or not out:
             break
         law = edge_law(system, cur, q)
         u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
         acc = Fraction(0)
         chosen = out[-1]
-        for i in out:
-            acc += law[i]
+        for entry in out:
+            acc += law[entry[0]]
             if u < acc:
-                chosen = i
+                chosen = entry
                 break
-        present = tuple(entry[1] for entry in system.table[cur])
-        loser = index[system.edges[chosen].label]
-        q = tuple(system.act(chosen, [list(q)])[0])
-        cur = system.edges[chosen].dst
-        path.append(chosen)
+        present = tuple(entry[1] for entry in out)
+        i, loser, cur, _ = chosen
+        q = tuple(system.act(i, [list(q)])[0])
+        path.append(i)
     truncated = len(fired_at) < len(stops)
     return WalkOutcome(path, q, fired_at, truncated)
 
@@ -720,4 +719,6 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
             tied = _zero_rows(lanes.vals[:, :-1])
             rec[step:, lanes.trial[tied]] = -2
             lanes.keep(~tied)
+            if not lanes.trial.size:
+                break
     return rec.T

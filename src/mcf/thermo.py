@@ -53,18 +53,17 @@ def _loop_table(system, base, max_length, gamma_star, allowed_edges, cap):
     if max_length < 0:
         raise GraphError(f"truncation length L must be nonnegative, got {max_length}")
     avoid = tuple(gamma_star)
-    allowed = None if allowed_edges is None else set(allowed_edges)
+    allowed = range(len(system.edges)) if allowed_edges is None else set(allowed_edges)
     steps = {}
-    for v in system.vertices:
-        out = [i for i in reversed(system.out[v]) if allowed is None or i in allowed]
+    for v, out in system.table.items():
+        out = [(i, dst) for i, _, dst, _ in reversed(out) if i in allowed]
         for k in range(len(avoid)):
             steps[v, k] = nxt = []
-            for i in out:
+            for i, dst in out:
                 seen = avoid[:k] + (i,)
                 kk = next(j for j in range(k + 1, -1, -1)
                           if seen[k + 1 - j:] == avoid[:j])
                 if kk < len(avoid):  # else the edge completes gamma_star
-                    dst = system.edges[i].dst
                     nxt.append((i, (dst, kk), dst == base))
     counts = dict.fromkeys(steps, 0)  # ways to end a loop in 1 to r edges
     live = [frozenset()]
@@ -306,6 +305,7 @@ def pressure_analysis(system, max_length, n, gamma_star=None, allowed_edges=None
     alphabet, and solves for the zero of the truncated pressure over
     ``KAPPA_BRACKET``.
     """
+    allowed_edges = None if allowed_edges is None else set(allowed_edges)
     if gamma_star is None:
         gamma_star = find_positive_path(system, allowed_edges=allowed_edges)
         if gamma_star is None:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -142,6 +144,22 @@ def test_measure_depth_table_csv(runner):
     assert r.exit_code == 0
     assert r.output.splitlines()[0] == "measure,path,relative"
     assert len(r.output.splitlines()) == 3
+
+
+@pytest.mark.parametrize("args", [
+    ("criterion", "--catalog", "brun", "--dim", "3"),
+    ("simulate", "--catalog", "gauss", "--trials", "10", "--n", "5", "--seed", "1"),
+])
+def test_payload_without_rows_writes_key_value_csv(runner, args):
+    r = invoke(runner, *args, "--format", "csv")
+    assert r.exit_code == 0
+    rows = list(csv.reader(io.StringIO(r.output)))
+    assert rows[0] == ["key", "value"]
+    cells = dict(rows[1:])
+    assert json.loads(cells["command"]) == args[0]
+    assert isinstance(json.loads(cells["params"]), dict)
+    if args[0] == "criterion":
+        assert cells["passes"] == "true"
 
 
 @pytest.mark.parametrize("q0", [None, "1/2,3,5/7"])

@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -26,29 +28,33 @@ def gauss():
 def test_construction_and_shape():
     s = gauss()
     assert s.dim == 2
-    assert s.out_labels("v") == ("1", "2")
+    assert [entry[3] for entry in s.table["v"]] == ["1", "2"]
     assert not s.is_hole("v")
 
 
-def test_duplicate_out_label_rejected():
-    with pytest.raises(GraphError):
-        SimplicialSystem(("1", "2"), ["v"], [("v", "v", "1"), ("v", "v", "1")])
-
-
-def test_unknown_label_rejected():
-    with pytest.raises(GraphError):
-        SimplicialSystem(("1", "2"), ["v"], [("v", "v", "3")])
-
-
-def test_unknown_vertex_rejected():
-    with pytest.raises(GraphError):
-        SimplicialSystem(("1", "2"), ["v"], [("v", "w", "1")])
+@pytest.mark.parametrize("alphabet, vertices, edges, message", [
+    ((), ["v", "v"], [], "empty alphabet"),
+    (("1", "1"), ["v", "v"], [], "duplicate letters in alphabet"),
+    (("1", "2"), ["v", "v"], [("w", "v", "1")], "duplicate vertex names"),
+    (("1", "2"), ["v"], [("w", "x", "3")], "edge source 'w' is not a vertex"),
+    (("1", "2"), ["v"], [("v", "w", "3")], "edge target 'w' is not a vertex"),
+    (("1", "2"), ["v"], [("v", "v", "3"), ("v", "v", "1"), ("v", "v", "1")],
+     "edge label '3' is not in the alphabet"),
+    (("1", "2"), ["v"], [("v", "v", "1"), ("v", "v", "1"), ("v", "w", "2")],
+     "vertex 'v' has two out-edges labeled '1'"),
+], ids=["empty-alphabet", "duplicate-letter", "duplicate-vertex", "unknown-source",
+        "unknown-target", "unknown-label", "duplicate-out-label"])
+def test_constructor_rejects_a_malformed_system(alphabet, vertices, edges, message):
+    # Each input also breaks a later check, so the first failing check wins:
+    # the alphabet, then the vertices, then each edge in turn (its source,
+    # target, label and then its label's uniqueness at the source).
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+        SimplicialSystem(alphabet, vertices, edges)
 
 
 def test_vertex_lookups_reject_an_unknown_vertex():
     s = gauss()
-    lookups = (s.out_edges, s.out_labels, s.is_hole,
-               lambda v: s.edge_by_label(v, "1"))
+    lookups = (s.out_edges, s.is_hole, lambda v: s.edge_by_label(v, "1"))
     for lookup in lookups:
         with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
             lookup("nowhere")
@@ -206,7 +212,8 @@ def reference_criterion(system):
         for rec in strongly_connected_components(degenerate_subgraph(system, labels)):
             comp = rec["vertices"]
             branching = [v for v in comp
-                         if len(set(system.out_labels(v)) & labels) > 1]
+                         if len(labels & {system.edges[i].label
+                                          for i in system.out_edges(v)}) > 1]
             if (rec["edge_bearing"] and branching
                     and not all(escapes(v, set(comp), labels) for v in comp)):
                 failures.append({"labels": sorted(labels),
@@ -343,6 +350,14 @@ def test_table_lists_out_edges_in_label_order():
         for i, li, dst, label in s.table[v]:
             e = s.edges[i]
             assert (li, dst, label) == (s.label_index[e.label], e.dst, e.label)
+
+
+def test_out_edges_returns_a_copy():
+    s = gauss()
+    with contextlib.suppress(AttributeError):  # a tuple cannot be reordered
+        s.out_edges("v").reverse()
+    assert s.table["v"] == ((0, 0, "v", "1"), (1, 1, "v", "2"))
+    assert s.out_edges("v") == (0, 1)
 
 
 def test_positive_loops_are_unchanged():

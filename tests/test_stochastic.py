@@ -402,6 +402,35 @@ def test_first_fires_do_not_depend_on_the_rescale_schedule(monkeypatch):
         assert (fired > 0).all()
 
 
+def test_coding_stops_a_block_once_every_lane_has_tied(monkeypatch):
+    # a tie writes -2 to every later step, so steps over a block without
+    # live lanes would change nothing; brun(5) ties every row of 2000 points
+    # at bits=8 well within 200 steps
+    s = build("brun", 5).system
+    v = s.vertices[0]
+    short = batch_code_points(s, v, 200, 2000, 4, bits=8)
+    assert (short[:, -1] == -2).all()
+    calls, blocks = [0], []
+
+    def counted_step(*args, f=stochastic._step):
+        calls[0] += 1
+        return f(*args)
+
+    def counted_blocks(*args, f=stochastic._code_blocks):
+        for pts, rows in f(*args):
+            blocks.append(rows)
+            yield pts, rows
+
+    monkeypatch.setattr(stochastic, "_step", counted_step)
+    monkeypatch.setattr(stochastic, "_code_blocks", counted_blocks)
+    long = batch_code_points(s, v, 2000, 2000, 4, bits=8)
+    assert (long[:, :200] == short).all() and (long[:, 200:] == -2).all()
+    # each block steps until its last lane ties: the first -2 of the row
+    tied_at = (short == -2).argmax(axis=1)
+    assert len(blocks) > 1  # the redrawn rows make a block of their own
+    assert calls[0] == sum(tied_at[rows].max() + 1 for rows in blocks)
+
+
 def test_batch_code_points_marks_ties_not_codes():
     s = gauss()
     rec = batch_code_points(s, "v", 8, 500, seed=6, bits=16)

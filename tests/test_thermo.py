@@ -81,6 +81,23 @@ def restricted_gasket():
     return named.system, allowed
 
 
+@pytest.mark.parametrize("name, dim, L, kappa", [
+    ("arnoux-rauzy", 2, 12, 0.99312), ("arp", 3, 10, 0.83519)])
+def test_allowed_edges_may_be_any_iterable(name, dim, L, kappa):
+    # a one-shot iterator is read once, not once per edge or per search
+    named = build(name, dim)
+    exits = set(named.meta["exit_edges"])
+    allowed = [i for i in range(len(named.system.edges)) if i not in exits]
+    loop = find_positive_path(named.system, allowed_edges=allowed)
+    est = pressure_analysis(named.system, L, 1, allowed_edges=allowed)
+    assert loop == [2, 22, 20, 28, 26, 4]
+    assert est.kappa == pytest.approx(kappa, abs=1e-5)
+    for again in (tuple, lambda edges: (i for i in edges)):
+        assert find_positive_path(named.system, allowed_edges=again(allowed)) == loop
+        assert pressure_analysis(named.system, L, 1,
+                                 allowed_edges=again(allowed)).kappa == est.kappa
+
+
 def system_and_edges(name, dim=None):
     """A catalog system with no edge restriction, the restricted gasket for
     ``"gasket"``, or ``dead_end()`` for ``"dead-end"``."""
@@ -209,7 +226,7 @@ def brute_force_loops(s, base, L, avoid, allowed):
         for labels in itertools.product(s.alphabet, repeat=length):
             w, v = [], base
             for a in labels:
-                i = next((i for i in s.out[v] if s.edges[i].label == a), None)
+                i = next((i for i in s.out_edges(v) if s.edges[i].label == a), None)
                 if i is None or (allowed is not None and i not in allowed):
                     break
                 w.append(i)
