@@ -40,7 +40,11 @@ MAX_POINCARE_DIM = 14
 
 
 def _labels(n):
+    """The letters "1" to "n", the label of coordinate i at index i."""
     return tuple(str(i + 1) for i in range(n))
+
+
+_RANKING_LABELS = _labels(MAX_RANKING_DIM)
 
 
 def _rot(sigma, j):
@@ -49,27 +53,23 @@ def _rot(sigma, j):
 
 
 def _vname(prefix, sigma, k=None):
-    base = f"{prefix}:" + ",".join(sigma)
+    """The name of a vertex at a ranking of coordinates, written in labels."""
+    base = f"{prefix}:" + ",".join([_RANKING_LABELS[i] for i in sigma])
     return base if k is None else f"{base}:{k}"
 
 
 def _sigma(vertex):
-    """The ranking a vertex name carries."""
-    return tuple(vertex.split(":")[1].split(","))
+    """The ranking of coordinates a vertex name carries."""
+    return tuple(int(l) - 1 for l in vertex.split(":")[1].split(","))
 
 
 def _ordering(x):
-    """Labels ranked by decreasing coordinate; ties are boundary events."""
-    n = len(x)
-    idx = sorted(range(n), key=lambda i: x[i], reverse=True)
+    """Coordinates ranked by decreasing value; ties are boundary events."""
+    idx = tuple(sorted(range(len(x)), key=lambda i: x[i], reverse=True))
     for a, b in zip(idx, idx[1:]):
         if x[a] == x[b]:
             raise BoundaryTieError("equal coordinates in ranking")
-    return tuple(str(i + 1) for i in idx)
-
-
-def _coord(x, label):
-    return x[int(label) - 1]
+    return idx
 
 
 def _integer_inverse(cols):
@@ -96,9 +96,9 @@ def _integer_inverse(cols):
     return [[v.numerator * (den // v.denominator) for v in row] for row in inv]
 
 
-def _v_point(n, alpha):
-    """All-ones vector with a zero in the given label coordinate."""
-    return tuple(0 if i == int(alpha) - 1 else 1 for i in range(n))
+def _v_point(n, a):
+    """All-ones vector with a zero in coordinate a."""
+    return tuple(0 if i == a else 1 for i in range(n))
 
 
 @dataclass
@@ -106,9 +106,9 @@ class NamedSystem:
     """A graph with its section and the classical map it linearizes.
 
     A simplex point x is carried at the section vertex ``_vertex(x)``, in the
-    cone spanned by that vertex's integer ``_columns`` (the column of label a
-    at index a - 1).  By default there is one section vertex and its columns
-    are the unit vectors, so the graph point is x itself.
+    cone spanned by that vertex's integer ``_columns`` (the column of
+    coordinate a at index a).  By default there is one section vertex and
+    its columns are the unit vectors, so the graph point is x itself.
     """
 
     name: str
@@ -177,17 +177,16 @@ class FullySubtractive(NamedSystem):
     this is the Gauss map."""
 
     def reference_step(self, x):
-        sigma = _ordering(x)
-        lo = _coord(x, sigma[-1])
-        return tuple(c if str(i + 1) == sigma[-1] else c - lo for i, c in enumerate(x))
+        low = _ordering(x)[-1]
+        return tuple(c if i == low else c - x[low] for i, c in enumerate(x))
 
 
 def _poincare_step(x, sigma):
     """Every coordinate but the smallest minus the next one in the ranking
     ``sigma``."""
     out = list(x)
-    for k, l in enumerate(sigma[:-1]):
-        out[int(l) - 1] = _coord(x, l) - _coord(x, sigma[k + 1])
+    for a, b in zip(sigma, sigma[1:]):
+        out[a] = x[a] - x[b]
     return tuple(out)
 
 
@@ -199,9 +198,9 @@ class Poincare(NamedSystem):
 class Brun(NamedSystem):
     """Section vertices named by the ranking of the point, with telescoping
     columns: the head's column is its unit vector, and the column of the k-th
-    label after the head sums the unit vectors of the first k labels after
-    the head.  Their inverse is unimodular: the head keeps its coordinate,
-    each later label stores the gap to the next one and the last its own."""
+    coordinate after the head sums the unit vectors of the first k after the
+    head.  Their inverse is unimodular: the head keeps its coordinate, each
+    later one stores the gap to the next one and the last its own."""
 
     prefix = "B"
 
@@ -211,15 +210,15 @@ class Brun(NamedSystem):
     def _columns(self, vertex):
         sigma = _sigma(vertex)
         cols = [None] * self.dim
-        for k, l in enumerate(sigma):
+        for k, a in enumerate(sigma):
             span = sigma[min(k, 1):k + 1]
-            cols[int(l) - 1] = tuple(int(m in span) for m in _labels(self.dim))
+            cols[a] = tuple(int(i in span) for i in range(self.dim))
         return cols
 
     def reference_step(self, x):
-        sigma = _ordering(x)
+        top, second = _ordering(x)[:2]
         out = list(x)
-        out[int(sigma[0]) - 1] = _coord(x, sigma[0]) - _coord(x, sigma[1])
+        out[top] = x[top] - x[second]
         return tuple(out)
 
 
@@ -232,13 +231,13 @@ class ArnouxRauzy(Brun):
 
     def reference_step(self, x):
         sigma = _ordering(x)
-        top = _coord(x, sigma[0])
-        rest = sum(_coord(x, l) for l in sigma[1:])
+        top = x[sigma[0]]
+        rest = sum(x[a] for a in sigma[1:])
         if top == rest:
             raise BoundaryTieError("point on the critical wall")
         if top > rest:
             out = list(x)
-            out[int(sigma[0]) - 1] = top - rest
+            out[sigma[0]] = top - rest
             return tuple(out)
         if not self.poincare_fallback:
             raise DomainEscape("point left the surviving set")
@@ -260,26 +259,24 @@ class Selmer(NamedSystem):
         sigma = _sigma(vertex)
         n = self.dim
         cols = [None] * n
-        cols[int(sigma[0]) - 1] = _v_point(n, sigma[0])
-        cols[int(sigma[-1]) - 1] = _v_point(n, sigma[-1])
-        cols[int(sigma[1]) - 1] = tuple(1 for _ in range(n))
+        cols[sigma[0]] = _v_point(n, sigma[0])
+        cols[sigma[-1]] = _v_point(n, sigma[-1])
+        cols[sigma[1]] = (1,) * n
         for k in range(2, n - 1):
-            bump = {sigma[j] for j in range(1, k)}
-            cols[int(sigma[k]) - 1] = tuple(
-                2 if str(i + 1) in bump else 1 for i in range(n)
-            )
+            bump = sigma[1:k]
+            cols[sigma[k]] = tuple(2 if i in bump else 1 for i in range(n))
         return cols
 
     def in_domain(self, x):
         if any(c <= 0 for c in x):
             return False
         sigma = _ordering(x)
-        return _coord(x, sigma[0]) < _coord(x, sigma[-2]) + _coord(x, sigma[-1])
+        return x[sigma[0]] < x[sigma[-2]] + x[sigma[-1]]
 
     def reference_step(self, x):
         sigma = _ordering(x)
         out = list(x)
-        out[int(sigma[0]) - 1] = _coord(x, sigma[0]) - _coord(x, sigma[-1])
+        out[sigma[0]] = x[sigma[0]] - x[sigma[-1]]
         return tuple(out)
 
 
@@ -296,7 +293,7 @@ class Cassaigne(NamedSystem):
     a representative.
     """
 
-    CENTER = {"a": "1", "b": "2", "c": "3"}
+    CENTER = {"a": 0, "b": 1, "c": 2}
     # Change of basis between representatives and sorted cone points;
     # column k holds the image of the k-th unit vector.
     _H = ((1, 1, 1), (2, 1, 1), (1, 1, 0))
@@ -308,7 +305,7 @@ class Cassaigne(NamedSystem):
 
     def _columns(self, vertex):
         m = self.CENTER[vertex]
-        return [(1, 1, 1) if a == m else _v_point(3, a) for a in _labels(3)]
+        return [(1, 1, 1) if a == m else _v_point(3, a) for a in range(3)]
 
     def in_domain(self, x):
         return all(c > 0 for c in x) and x[0] != x[2]
@@ -369,28 +366,28 @@ def _poincare_graph(n):
     return SimplicialSystem(labels, order, edges), frozenset([root]), {}
 
 
-def _brun_chain(vertices, edges, sigma, head, mid, end, exit_to):
+def _brun_chain(vertices, edges, labels, sigma, head, mid, end, exit_to):
     """Append Brun's chain at the ranking ``sigma``: from ``head`` through
-    vertices named with ``mid`` to ``end``, losing the labels from the last
-    rank up, and from each chain vertex the edge losing the head, into the
-    vertex named with ``exit_to`` whose ranking moves the head down to the
-    rank the chain has reached."""
+    vertices named with ``mid`` to ``end``, losing the coordinates from the
+    last rank up, and from each chain vertex the edge losing the head, into
+    the vertex named with ``exit_to`` whose ranking moves the head down to
+    the rank the chain has reached."""
     n = len(sigma)
     chain = [head] + [_vname(mid, sigma, k) for k in range(1, n - 1)] + [end]
     vertices.extend(chain[:-1])
     for k in range(n - 1):
-        edges.append((chain[k], chain[k + 1], sigma[n - 1 - k]))
+        edges.append((chain[k], chain[k + 1], labels[sigma[n - 1 - k]]))
     for k in range(n - 1):
-        edges.append((chain[k], _vname(exit_to, _rot(sigma, n - k)), sigma[0]))
+        edges.append((chain[k], _vname(exit_to, _rot(sigma, n - k)), labels[sigma[0]]))
 
 
 def _brun_graph(n):
     labels = _labels(n)
     vertices = []
     edges = []
-    for sigma in itertools.permutations(labels):
+    for sigma in itertools.permutations(range(n)):
         white = _vname("B", sigma)
-        _brun_chain(vertices, edges, sigma, white, "B", white, "B")
+        _brun_chain(vertices, edges, labels, sigma, white, "B", white, "B")
     graph = fold(SimplicialSystem(labels, vertices, edges))
     section = frozenset(v for v in graph.vertices if v.count(":") == 1)
     return graph, section, {}
@@ -402,7 +399,7 @@ def fold(system):
     while True:
         sig = {}
         for v, out in system.table.items():
-            key = tuple((li, names[dst]) for _, li, dst, _ in out)
+            key = tuple((li, names[dst]) for _, li, dst in out)
             sig.setdefault(key, []).append(v)
         changed = False
         for group in sig.values():
@@ -422,11 +419,11 @@ def _selmer_graph(n):
     labels = _labels(n)
     vertices = []
     edges = []
-    for sigma in itertools.permutations(labels):
+    for sigma in itertools.permutations(range(n)):
         v = _vname("S", sigma)
         vertices.append(v)
-        edges.append((v, _vname("S", _rot(sigma, n)), sigma[-1]))
-        edges.append((v, _vname("S", _rot(sigma, n - 1)), sigma[0]))
+        edges.append((v, _vname("S", _rot(sigma, n)), labels[sigma[-1]]))
+        edges.append((v, _vname("S", _rot(sigma, n - 1)), labels[sigma[0]]))
     graph = SimplicialSystem(labels, vertices, edges)
     return graph, frozenset(vertices), {}
 
@@ -457,14 +454,14 @@ def _arnoux_rauzy_graph(n, exits):
     vertices = []
     edges = []
     exit_edges = []
-    for sigma in itertools.permutations(labels):
+    for sigma in itertools.permutations(range(n)):
         white = _vname("I", sigma)
         tilde = _vname("J", sigma)
-        _brun_chain(vertices, edges, sigma, white, "A", tilde, "J")
+        _brun_chain(vertices, edges, labels, sigma, white, "A", tilde, "J")
         vertices.append(tilde)
         seq = []
         for j in range(3, n + 1):
-            seq.extend([sigma[j - 1]] * (j - 2))
+            seq.extend([labels[sigma[j - 1]]] * (j - 2))
         chain2 = [tilde] + [_vname("K", sigma, k) for k in range(1, len(seq))] + [white]
         vertices.extend(chain2[1:-1])
         for k, lab in enumerate(seq):
@@ -476,7 +473,7 @@ def _arnoux_rauzy_graph(n, exits):
                 target = hole
             else:
                 target = _vname("I", _rot(sigma, n))
-            edges.append((chain2[k], target, sigma[0]))
+            edges.append((chain2[k], target, labels[sigma[0]]))
             exit_edges.append(len(edges) - 1)
     section = frozenset(v for v in vertices if v.startswith("I:"))
     return SimplicialSystem(labels, vertices, edges), section, {"exit_edges": exit_edges}

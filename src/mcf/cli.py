@@ -124,12 +124,13 @@ def _base(command, **params):
     return {"command": command, "version": __version__, "params": params}
 
 
+_dim_option = click.option("--dim", type=int, default=None, help="Number of letters.")
 _graph_opts = [
     click.option("--graph", type=click.Path(), default=None,
                  help="Graph JSON file."),
     click.option("--catalog", "catalog_name", default=None,
                  help="Named system from the built-in catalog."),
-    click.option("--dim", type=int, default=None, help="Number of letters."),
+    _dim_option,
 ]
 
 
@@ -269,6 +270,9 @@ def walk(graph, catalog_name, dim, point, vertex, n_steps, out):
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
     """Exact cylinder measures of labeled paths."""
+    if (path_text is None) == (depth is None):
+        raise DomainFailure("give --path LABELS or --n DEPTH"
+                            + ("" if path_text is None else ", not both"))
     system, _, source = _load_system(graph, catalog_name, dim)
     v = vertex or system.vertices[0]
     system.out_edges(v)  # raises on an unknown vertex, also for --n 0
@@ -294,13 +298,13 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
             "measure": str(m),
             "relative": str(m / base_mass),
         })
-    elif depth is not None:
+    else:
         # each frontier entry carries q M_prefix, so a row costs one edge action
         frontier = [(v, [], q)]
         for _ in range(depth):
             nxt = []
             for cur, pfx, qm in frontier:
-                for i, _, dst, _ in system.table[cur]:
+                for i, _, dst in system.table[cur]:
                     nxt.append((dst, pfx + [i], system.act(i, [list(qm)])[0]))
             frontier = nxt
             for cur, pfx, qm in frontier:
@@ -310,30 +314,27 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
                     "measure": str(m),
                     "relative": str(m / base_mass),
                 })
-    else:
-        raise DomainFailure("give --path LABELS or --n DEPTH")
     payload["rows"] = rows
     _emit(payload, out, fmt)
 
 
 @main.command()
-@graph_options
+@click.option("--catalog", "catalog_name", required=True,
+              help="Named system from the built-in catalog.")
+@_dim_option
 @click.option("--seed", type=int, default=None)
 @click.option("--trials", type=click.IntRange(min=1), default=100)
 @click.option("--n", "n_steps", type=click.IntRange(min=1), default=20,
               help="Reference steps.")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--strict", is_flag=True)
-def conjugacy(graph, catalog_name, dim, seed, trials, n_steps, out, strict):
+def conjugacy(catalog_name, dim, seed, trials, n_steps, out, strict):
     """Exact comparison of the graph induction with the classical map."""
-    if graph:
-        raise DomainFailure("conjugacy needs a catalog system (the classical "
-                            "reference map is part of the catalog entry)")
-    _, named, source = _load_system(None, catalog_name, dim)
+    named = build(catalog_name, dim)
     seed = _resolve_seed(seed)
     result = conjugacy_check(named, trials=trials, steps=n_steps, seed=seed)
-    payload = _base("conjugacy", source=source, seed=seed, trials=trials,
-                    n=n_steps, strict=strict)
+    payload = _base("conjugacy", source=f"{catalog_name}({named.dim})", seed=seed,
+                    trials=trials, n=n_steps, strict=strict)
     payload.update(result)
     payload["passes"] = not result["failures"] and result["tie_rate"] < 0.01
     _emit(payload, out, "json")

@@ -58,7 +58,7 @@ class SimplicialSystem:
             raise GraphError("duplicate letters in alphabet")
         if len(self.vertex_index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
-        # per vertex, its out-edges as (edge, label index, dst, label) in label order
+        # per vertex, its out-edges as (edge, label index, dst) in label order
         out = {v: {} for v in self.vertices}
         for i, e in enumerate(self.edges):
             if e.src not in out:
@@ -72,7 +72,7 @@ class SimplicialSystem:
                 raise GraphError(
                     f"vertex {e.src!r} has two out-edges labeled {e.label!r}"
                 )
-            out[e.src][li] = (i, li, e.dst, e.label)
+            out[e.src][li] = (i, li, e.dst)
         self.table = {v: tuple(by[li] for li in sorted(by)) for v, by in out.items()}
         self.holes = tuple(v for v, entries in self.table.items() if not entries)
 
@@ -92,8 +92,9 @@ class SimplicialSystem:
         return tuple(entry[0] for entry in self._entries(v))
 
     def edge_by_label(self, v, label):
-        for i, _, _, lab in self._entries(v):
-            if lab == label:
+        li = self.label_index.get(label)
+        for i, lj, _ in self._entries(v):
+            if lj == li:
                 return i
         raise GraphError(f"vertex {v!r} has no out-edge labeled {label!r}")
 
@@ -416,7 +417,7 @@ def find_positive_path(system, allowed_edges=None):
             for v, pat, path in frontier:
                 out = system.table[v]
                 competing = sum(1 << entry[1] for entry in out)
-                for i, loser, dst, _ in out:
+                for i, loser, dst in out:
                     if i not in allowed:
                         continue
                     bit = 1 << loser

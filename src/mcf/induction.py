@@ -117,11 +117,11 @@ def orbit(system, vertex, point, n):
     total = _mass(cur)
     records = []
     for k in range(n):
-        entry = _advance(table, vertex, cur, total)
+        edge, li, dst = _advance(table, vertex, cur, total)
         new_total = _mass(cur)
         ratio = Fraction(new_total, total)
-        records.append(StepRecord(k, vertex, entry[0], entry[3], ratio))
-        vertex, total = entry[2], new_total
+        records.append(StepRecord(k, vertex, edge, system.alphabet[li], ratio))
+        vertex, total = dst, new_total
     return vertex, tuple(Fraction(c, total) for c in cur), records
 
 

@@ -104,7 +104,7 @@ def edge_law(system, vertex, q):
     if system.is_hole(vertex):
         raise GraphError(f"vertex {vertex!r} is a hole")
     system.check_point(q, "q")
-    weights = {i: Fraction(q[li]) for i, li, _, _ in system.table[vertex]}
+    weights = {i: Fraction(q[li]) for i, li, _ in system.table[vertex]}
     total = sum(weights.values())
     if any(w <= 0 for w in weights.values()):
         raise GraphError("q must be positive on the competing labels")
@@ -255,15 +255,9 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
             break
         law = edge_law(system, cur, q)
         u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
-        acc = Fraction(0)
-        chosen = out[-1]
-        for entry in out:
-            acc += law[entry[0]]
-            if u < acc:
-                chosen = entry
-                break
+        cumulative = itertools.accumulate(law.values())  # in table order
         present = tuple(entry[1] for entry in out)
-        i, loser, cur, _ = chosen
+        i, loser, cur = next((e for e, c in zip(out, cumulative) if u < c), out[-1])
         q = tuple(system.act(i, [list(q)])[0])
         path.append(i)
     truncated = len(fired_at) < len(stops)
@@ -383,7 +377,7 @@ def _padded_table(system):
     target = np.repeat(np.arange(len(index))[None, :], width, axis=0)
     for v, name in enumerate(system.vertices):
         out = system.table[name]
-        for slot, (_, li, dst, _) in enumerate(out, start=width - len(out)):
+        for slot, (_, li, dst) in enumerate(out, start=width - len(out)):
             label[slot, v] = li
             target[slot, v] = index[dst]
     hole = None

@@ -17,6 +17,8 @@ import numpy as np
 
 from .graph import GraphError, find_positive_path
 
+# Largest k^n d^2 for n-tuples of k letters of d x d matrices: no array has
+# k^n entries, so it bounds the class products and keeps tuple codes in int32.
 MEMORY_GUARD_FLOATS = 2 * 10**8
 
 
@@ -56,7 +58,7 @@ def _loop_table(system, base, max_length, gamma_star, allowed_edges, cap):
     allowed = range(len(system.edges)) if allowed_edges is None else set(allowed_edges)
     steps = {}
     for v, out in system.table.items():
-        out = [(i, dst) for i, _, dst, _ in reversed(out) if i in allowed]
+        out = [(i, dst) for i, _, dst in reversed(out) if i in allowed]
         for k in range(len(avoid)):
             steps[v, k] = nxt = []
             for i, dst in out:
@@ -265,12 +267,16 @@ def solve_kappa(records, n, bracket=KAPPA_BRACKET, tol=1e-9):
     ``records`` (from ``tuple_log_radii``), each weighted by its class
     size, by Newton's method.
 
-    Every log radius is at least log d > 0, so the pressure is convex and
-    strictly decreasing in kappa, and Newton steps from the left end of the
-    bracket, where it is nonnegative, rise monotonically to the root.  The
-    bracket endpoints are widened hints, not certificates: a root outside
-    the bracket raises, and so does a solve that does not reach ``tol``.
+    With d >= 2 letters every log radius is at least log d > 0, so the
+    pressure is convex and strictly decreasing in kappa, and Newton steps
+    from the left end of the bracket, where it is nonnegative, rise
+    monotonically to the root.  A log radius that is not positive raises, as
+    do a root outside the bracket (its ends are widened hints, not
+    certificates) and a solve that does not reach ``tol``.
     """
+    low = records["log_radius"].min()
+    if not low > 0:
+        raise GraphError(f"smallest log radius {low:.4g} is not positive")
     lo, hi = bracket
     pressure = _pressure(records, n)
 

@@ -1,8 +1,11 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from mcf.catalog import (
+    FAMILIES,
     NAMES,
     DomainEscape,
     _projectively_equal,
@@ -196,3 +199,46 @@ def test_conjugacy_survives_escapes_for_holed_system():
     named = build("arnoux-rauzy", 3)
     r = conjugacy_check(named, trials=10, steps=10, seed=1)
     assert r["failures"] == []
+
+
+def _family_sizes():
+    for name, family in FAMILIES.items():
+        lo, hi = family.letters
+        for dim in range(lo, min(hi, 5) + 1):
+            yield name, dim
+
+
+# SHA-256 of each family's graph JSON, sorted section and seeded conjugacy
+# check, at every letter count from the fewest to five.  arp at 4 and 5
+# letters, which the catalog lists as experimental, fails every trial.
+CATALOG_PINNED = {
+    ("gauss", 2): "3c9dde35595b01c4f800223fe7406f89b785cc28d56fd126c39bcd4d81e26be1",
+    ("fully-subtractive", 3): "9c41ac83acfb11043388b1033d59b62b34b514bae4f31b6d9cd4d288c2bc1818",
+    ("fully-subtractive", 4): "af0cf41c0c6702328099491f5c1b8f19121b5ca5f891d68456b4629063e42839",
+    ("fully-subtractive", 5): "d8db0210c84ee0b5eb194741ac9b35064d0d613bde9d4679b4a7aa0925166f8c",
+    ("poincare", 3): "2e706e80c206e57fed61a7e4897af3f0d1b35131df81c9a549177863a381ab47",
+    ("poincare", 4): "34f7ffe3a6bc54d54ed321c02d431c902eb1c6d8f335b8db0d693545c7eb53d3",
+    ("poincare", 5): "03747f890a864424c72b2799127dcdd9d7c766a254b2c5b48082b1a0e48a1e26",
+    ("brun", 3): "3bc526ffd98311df2c751144184267d532e77cef92f493e0aa429e5a9b5fcf2b",
+    ("brun", 4): "5ead805db4fc2fe588b12794f64ef66fda514bdc196337f44b60e468f473448a",
+    ("brun", 5): "baf22c72a87af4aecb2f7aa3ff1b576230490400823b88f54d2883d05924a12a",
+    ("selmer-restricted", 3): "a2e5f1caf941463999616858bb8ba8f5349e743a3ba7875dc6da5a67bce7e487",
+    ("selmer-restricted", 4): "a773e2e47de60a1575508fd4f5464ff1d9dd9292ae5176318d25218393d4e9fe",
+    ("selmer-restricted", 5): "b4702f7f9c2fd9ed913de58e79fa1bd030763c835fb38df254fce03135d4841a",
+    ("cassaigne", 3): "58711c7f6fd6287315618169165fa1f66e8c98cff9e1762d63ce96c4e84c4e14",
+    ("arnoux-rauzy", 3): "436563b65aaf965cf1b65a1e62b6a8cae49a1d1e60245f6e6b366bf90b118941",
+    ("arnoux-rauzy", 4): "a9d3a9aa76060a5aed923c8feb9555223a6e1926852f23413c342be6d673257f",
+    ("arnoux-rauzy", 5): "f96832c9da169895c202bda9360a445f39cc346a3370603e70b2e0bac0007965",
+    ("arp", 3): "c0a1bcb7208c0a63cd15233e23e0e9adb0ab48f121dfa4747c19e3880e2598dd",
+    ("arp", 4): "2c8fd1b90efbc9c00f5d96660a0aeacf46a854d94028795fa0572f4500c85ef0",
+    ("arp", 5): "a9ec5063548a61e3ae00864c0924e5e084b2b7164047555e3cf2cb03b95404aa",
+}
+
+
+@pytest.mark.parametrize("name, dim", list(_family_sizes()))
+def test_catalog_systems_are_pinned(name, dim):
+    named = build(name, dim)
+    result = conjugacy_check(named, trials=20, steps=20, seed=3)
+    doc = [named.system.to_json(), sorted(named.section), result]
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == CATALOG_PINNED[name, dim]

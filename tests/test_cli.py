@@ -109,6 +109,41 @@ def test_dimension_rejects_graph_and_catalog_together(runner, tmp_path):
     assert "not both" in r.output
 
 
+@pytest.mark.parametrize("args", [
+    ["pressure", "--L", "3", "--n", "2"],
+    ["dimension", "--L", "3", "--n", "1"],
+])
+def test_one_letter_pressure_is_exit_2(runner, tmp_path, args):
+    # every log radius of one letter is 0: no kappa zeroes the pressure
+    f = tmp_path / "one.json"
+    f.write_text(json.dumps({"alphabet": ["1"], "vertices": ["v"],
+                             "edges": [{"from": "v", "to": "v", "label": "1"}]}))
+    r = invoke(runner, *args, "--graph", str(f))
+    assert r.exit_code == 2
+    assert "smallest log radius 0 is not positive" in r.output
+
+
+def test_measure_rejects_path_and_depth_together(runner):
+    r = invoke(runner, "measure", "--catalog", "gauss", "--path", "1,2", "--n", "2")
+    assert r.exit_code == 2
+    assert "give --path LABELS or --n DEPTH, not both" in r.output
+    r = invoke(runner, "measure", "--catalog", "gauss")
+    assert r.exit_code == 2
+    assert "give --path LABELS or --n DEPTH" in r.output
+    assert "not both" not in r.output
+
+
+def test_conjugacy_takes_a_catalog_system_only(runner, tmp_path):
+    f = tmp_path / "g.json"
+    assert invoke(runner, "validate", "--catalog", "gauss", "--out", str(f)).exit_code == 0
+    r = invoke(runner, "conjugacy", "--graph", str(f))
+    assert r.exit_code == 2
+    assert "No such option" in r.output and "--graph" in r.output
+    r = invoke(runner, "conjugacy", "--dim", "3")
+    assert r.exit_code == 2
+    assert "--catalog" in r.output and "--graph" not in r.output
+
+
 def test_walk_jsonl_trace(runner):
     r = invoke(
         runner, "walk", "--catalog", "cassaigne", "--point", "3/6,2/6,1/6",

@@ -28,7 +28,7 @@ def gauss():
 def test_construction_and_shape():
     s = gauss()
     assert s.dim == 2
-    assert [entry[3] for entry in s.table["v"]] == ["1", "2"]
+    assert [s.alphabet[entry[1]] for entry in s.table["v"]] == ["1", "2"]
     assert not s.is_hole("v")
 
 
@@ -347,16 +347,16 @@ def test_table_lists_out_edges_in_label_order():
     s = build("arnoux-rauzy", 3).system
     for v in s.vertices:
         assert [entry[0] for entry in s.table[v]] == list(s.out_edges(v))
-        for i, li, dst, label in s.table[v]:
+        for i, li, dst in s.table[v]:
             e = s.edges[i]
-            assert (li, dst, label) == (s.label_index[e.label], e.dst, e.label)
+            assert (li, dst) == (s.label_index[e.label], e.dst)
 
 
 def test_out_edges_returns_a_copy():
     s = gauss()
     with contextlib.suppress(AttributeError):  # a tuple cannot be reordered
         s.out_edges("v").reverse()
-    assert s.table["v"] == ((0, 0, "v", "1"), (1, 1, "v", "2"))
+    assert s.table["v"] == ((0, 0, "v"), (1, 1, "v"))
     assert s.out_edges("v") == (0, 1)
 
 

@@ -376,6 +376,26 @@ def test_solve_kappa_root_property_and_bad_bracket():
             solve_kappa(records, 2, bracket=bracket)
 
 
+def one_letter():
+    return SimplicialSystem(("1",), ["v"], [("v", "v", "1")])
+
+
+def test_solve_kappa_rejects_a_flat_pressure():
+    # every letter matrix of one letter is [[1]], so every log radius is 0
+    # and the pressure does not depend on kappa
+    s = one_letter()
+    letters = build_induced_alphabet(s, find_positive_path(s), 3)
+    records = tuple_log_radii(letters, 2)
+    assert (records["log_radius"] == 0).all()
+    with pytest.raises(GraphError, match="smallest log radius 0 is not positive"):
+        solve_kappa(records, 2)
+    with pytest.raises(GraphError, match="smallest log radius 0 is not positive"):
+        pressure_analysis(s, 3, 2)
+    records["log_radius"][0] = -1.0
+    with pytest.raises(GraphError, match="smallest log radius -1 is not positive"):
+        solve_kappa(records, 2)
+
+
 def bisection_kappa(records, n, lo=0.25, hi=16.0):
     """Oracle: bisect the log-sum-exp pressure over every tuple to a width
     of 1e-14."""
