@@ -58,11 +58,6 @@ def _vname(prefix, sigma, k=None):
     return base if k is None else f"{base}:{k}"
 
 
-def _sigma(vertex):
-    """The ranking of coordinates a vertex name carries."""
-    return tuple(int(l) - 1 for l in vertex.split(":")[1].split(","))
-
-
 def _ordering(x):
     """Coordinates ranked by decreasing value; ties are boundary events."""
     idx = tuple(sorted(range(len(x)), key=lambda i: x[i], reverse=True))
@@ -105,26 +100,31 @@ def _v_point(n, a):
 class NamedSystem:
     """A graph with its section and the classical map it linearizes.
 
-    A simplex point x is carried at the section vertex ``_vertex(x)``, in the
-    cone spanned by that vertex's integer ``_columns`` (the column of
-    coordinate a at index a).  By default there is one section vertex and
-    its columns are the unit vectors, so the graph point is x itself.
+    ``section`` maps each section vertex to the key its cone is built from.
+    A simplex point x is carried at the vertex of key ``_key(x)``, in the
+    cone spanned by that key's integer ``_columns`` (the column of
+    coordinate a at index a).  By default there is one section vertex, of
+    key None, and its columns are the unit vectors, so the graph point is x
+    itself.
     """
 
     name: str
     dim: int
     system: SimplicialSystem
-    section: frozenset
+    section: dict
     meta: dict = field(default_factory=dict)
+    _by_key: dict = field(init=False, repr=False, compare=False)
     _bases: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def _vertex(self, x):
-        """Section vertex whose cone holds x: by default the only one."""
-        (vertex,) = self.section
-        return vertex
+    def __post_init__(self):
+        self._by_key = {key: v for v, key in self.section.items()}
 
-    def _columns(self, vertex):
+    def _key(self, x):
+        """Key of the section vertex whose cone holds x."""
+        return None
+
+    def _columns(self, key):
         n = self.dim
         return [tuple(int(i == a) for i in range(n)) for a in range(n)]
 
@@ -133,14 +133,14 @@ class NamedSystem:
         built once."""
         basis = self._bases.get(vertex)
         if basis is None:
-            cols = self._columns(vertex)
+            cols = self._columns(self.section[vertex])
             basis = self._bases[vertex] = tuple(zip(*cols)), _integer_inverse(cols)
         return basis
 
     def embed(self, x):
         """Section vertex and positive cone coordinates of x, up to a
         positive factor."""
-        vertex = self._vertex(x)
+        vertex = self._by_key[self._key(x)]
         y = mat_vec(self._basis(vertex)[1], x)
         if any(c <= 0 for c in y):
             raise GraphError("point is outside the stable domain")
@@ -196,19 +196,16 @@ class Poincare(NamedSystem):
 
 
 class Brun(NamedSystem):
-    """Section vertices named by the ranking of the point, with telescoping
+    """Section vertices keyed by the ranking of the point, with telescoping
     columns: the head's column is its unit vector, and the column of the k-th
     coordinate after the head sums the unit vectors of the first k after the
     head.  Their inverse is unimodular: the head keeps its coordinate, each
     later one stores the gap to the next one and the last its own."""
 
-    prefix = "B"
+    def _key(self, x):
+        return _ordering(x)
 
-    def _vertex(self, x):
-        return _vname(self.prefix, _ordering(x))
-
-    def _columns(self, vertex):
-        sigma = _sigma(vertex)
+    def _columns(self, sigma):
         cols = [None] * self.dim
         for k, a in enumerate(sigma):
             span = sigma[min(k, 1):k + 1]
@@ -226,7 +223,6 @@ class ArnouxRauzy(Brun):
     """Its graph opens with Brun's chain at each ranking, so its section
     cones are Brun's."""
 
-    prefix = "I"
     poincare_fallback = False
 
     def reference_step(self, x):
@@ -251,12 +247,11 @@ class ArnouxRauzyPoincare(ArnouxRauzy):
 class Selmer(NamedSystem):
     """Section cones spanned by hull points of the stable domain."""
 
-    def _vertex(self, x):
+    def _key(self, x):
         rho = _ordering(x)
-        return _vname("S", (rho[-1],) + rho[:-1])
+        return (rho[-1],) + rho[:-1]
 
-    def _columns(self, vertex):
-        sigma = _sigma(vertex)
+    def _columns(self, sigma):
         n = self.dim
         cols = [None] * n
         cols[sigma[0]] = _v_point(n, sigma[0])
@@ -289,22 +284,20 @@ class Cassaigne(NamedSystem):
     conjugacy therefore works on semi-sorted representatives (first
     coordinate larger than the last): ``canonical`` picks the
     representative, ``embed`` sends it through a fixed change of basis into
-    the cone at vertex ``a``, and ``project`` sorts the cone point back into
-    a representative.
+    the cone at vertex ``a``, centred at coordinate 0, and ``project`` sorts
+    the cone point back into a representative.
     """
 
-    CENTER = {"a": 0, "b": 1, "c": 2}
     # Change of basis between representatives and sorted cone points;
     # column k holds the image of the k-th unit vector.
     _H = ((1, 1, 1), (2, 1, 1), (1, 1, 0))
     _H_ROWS = tuple(zip(*_H))
     _H_INV = _integer_inverse(_H)
 
-    def _vertex(self, x):
-        return "a"
+    def _key(self, x):
+        return 0
 
-    def _columns(self, vertex):
-        m = self.CENTER[vertex]
+    def _columns(self, m):
         return [(1, 1, 1) if a == m else _v_point(3, a) for a in range(3)]
 
     def in_domain(self, x):
@@ -332,13 +325,14 @@ class Cassaigne(NamedSystem):
         return (x2, x1, x3 - x1)
 
 
-# -- graph constructions: each returns (graph, section, meta) --------------
+# -- graph constructions: each returns (graph, section, meta), with the
+# section mapping each section vertex to its key ---------------------------
 
 
 def _fully_subtractive_graph(n):
     labels = _labels(n)
     graph = SimplicialSystem(labels, ["v"], [("v", "v", l) for l in labels])
-    return graph, frozenset(["v"]), {}
+    return graph, {"v": None}, {}
 
 
 def _poincare_graph(n):
@@ -363,7 +357,7 @@ def _poincare_graph(n):
                     nxt.append((child, left))
         frontier = nxt
     order = [root] + sorted(v for v in vertices if v != root)
-    return SimplicialSystem(labels, order, edges), frozenset([root]), {}
+    return SimplicialSystem(labels, order, edges), {root: None}, {}
 
 
 def _brun_chain(vertices, edges, labels, sigma, head, mid, end, exit_to):
@@ -385,12 +379,12 @@ def _brun_graph(n):
     labels = _labels(n)
     vertices = []
     edges = []
+    section = {}
     for sigma in itertools.permutations(range(n)):
         white = _vname("B", sigma)
+        section[white] = sigma
         _brun_chain(vertices, edges, labels, sigma, white, "B", white, "B")
-    graph = fold(SimplicialSystem(labels, vertices, edges))
-    section = frozenset(v for v in graph.vertices if v.count(":") == 1)
-    return graph, section, {}
+    return fold(SimplicialSystem(labels, vertices, edges)), section, {}
 
 
 def fold(system):
@@ -417,15 +411,14 @@ def fold(system):
 
 def _selmer_graph(n):
     labels = _labels(n)
-    vertices = []
+    section = {}
     edges = []
     for sigma in itertools.permutations(range(n)):
         v = _vname("S", sigma)
-        vertices.append(v)
+        section[v] = sigma
         edges.append((v, _vname("S", _rot(sigma, n)), labels[sigma[-1]]))
         edges.append((v, _vname("S", _rot(sigma, n - 1)), labels[sigma[0]]))
-    graph = SimplicialSystem(labels, vertices, edges)
-    return graph, frozenset(vertices), {}
+    return SimplicialSystem(labels, list(section), edges), section, {}
 
 
 def _cassaigne_graph(n):
@@ -437,8 +430,8 @@ def _cassaigne_graph(n):
         ("c", "b", "2"),
         ("a", "c", "3"),
     ]
-    graph = SimplicialSystem(_labels(n), ["a", "b", "c"], edges)
-    return graph, frozenset(graph.vertices), {}
+    section = {"a": 0, "b": 1, "c": 2}  # each vertex's cone centre
+    return SimplicialSystem(_labels(n), list(section), edges), section, {}
 
 
 def _arnoux_rauzy_graph(n, exits):
@@ -446,17 +439,20 @@ def _arnoux_rauzy_graph(n, exits):
 
     ``exits`` decides where the critical-wall edges point: "hole" grows one
     terminal vertex per exit, "recycle" reenters the state whose head moved
-    last (defined for n = 3 in the classical way, and experimentally for
-    larger n by reentering the full rotation).  ``meta["exit_edges"]`` lists
+    last.  At n = 3 that is the classical completion; at larger n it
+    reenters the full rotation, which does not linearize the map, so the
+    catalog builds it at three letters only.  ``meta["exit_edges"]`` lists
     the critical-wall edges.
     """
     labels = _labels(n)
     vertices = []
     edges = []
     exit_edges = []
+    section = {}
     for sigma in itertools.permutations(range(n)):
         white = _vname("I", sigma)
         tilde = _vname("J", sigma)
+        section[white] = sigma
         _brun_chain(vertices, edges, labels, sigma, white, "A", tilde, "J")
         vertices.append(tilde)
         seq = []
@@ -475,7 +471,6 @@ def _arnoux_rauzy_graph(n, exits):
                 target = _vname("I", _rot(sigma, n))
             edges.append((chain2[k], target, labels[sigma[0]]))
             exit_edges.append(len(edges) - 1)
-    section = frozenset(v for v in vertices if v.startswith("I:"))
     return SimplicialSystem(labels, vertices, edges), section, {"exit_edges": exit_edges}
 
 
@@ -486,41 +481,36 @@ class _Family(NamedTuple):
     cls: type
     make: Callable  # letter count -> (graph, section, meta)
     letters: tuple  # fewest and most letters
-    dims: str  # the letter counts as ``catalog_entries`` lists them
+    why: str  # why the letter count is bounded
     holes: bool = False
-    why: str = ""  # why the letter count is bounded
     gasket: bool = False  # also accepts the simplex dimension 2 for 3 letters
 
 
 _RANKINGS = "its graph has a vertex per ranking of the letters"
 
 FAMILIES = {
-    "gauss": _Family(FullySubtractive, _fully_subtractive_graph, (2, 2), "2"),
+    "gauss": _Family(FullySubtractive, _fully_subtractive_graph, (2, 2),
+                     "it is fully-subtractive at two letters"),
     "fully-subtractive": _Family(
         FullySubtractive, _fully_subtractive_graph, (3, MAX_CRITERION_ALPHABET),
-        f"3-{MAX_CRITERION_ALPHABET}",
-        why="the criterion check takes no larger alphabet"),
-    "poincare": _Family(
-        Poincare, _poincare_graph, (3, MAX_POINCARE_DIM), f"3-{MAX_POINCARE_DIM}",
-        why="its graph has a vertex per subset of the letters"),
-    "brun": _Family(Brun, _brun_graph, (3, MAX_RANKING_DIM),
-                    f"3-{MAX_RANKING_DIM}", why=_RANKINGS),
+        "the criterion check takes no larger alphabet"),
+    "poincare": _Family(Poincare, _poincare_graph, (3, MAX_POINCARE_DIM),
+                        "its graph has a vertex per subset of the letters"),
+    "brun": _Family(Brun, _brun_graph, (3, MAX_RANKING_DIM), _RANKINGS),
     "selmer-restricted": _Family(Selmer, _selmer_graph, (3, MAX_RANKING_DIM),
-                                 f"3-{MAX_RANKING_DIM}", why=_RANKINGS),
-    "cassaigne": _Family(Cassaigne, _cassaigne_graph, (3, 3), "3"),
+                                 _RANKINGS),
+    "cassaigne": _Family(Cassaigne, _cassaigne_graph, (3, 3),
+                         "its map acts on three coordinates"),
     "arnoux-rauzy": _Family(
         ArnouxRauzy, lambda n: _arnoux_rauzy_graph(n, "hole"),
-        (3, MAX_RANKING_DIM), f"3-{MAX_RANKING_DIM} (or 2)", holes=True,
-        why=_RANKINGS, gasket=True),
+        (3, MAX_RANKING_DIM), _RANKINGS, holes=True, gasket=True),
     "arp": _Family(
         ArnouxRauzyPoincare, lambda n: _arnoux_rauzy_graph(n, "recycle"),
-        (3, MAX_RANKING_DIM), f"3 (4-{MAX_RANKING_DIM} experimental)",
-        why=_RANKINGS, gasket=True),
+        (3, 3), "its recycled exits linearize the map at three letters only",
+        gasket=True),
 }
 
 NAMES = tuple(FAMILIES)
-
-_WORDS = {2: "two", 3: "three"}
 
 
 def build(name, dim=None):
@@ -531,26 +521,24 @@ def build(name, dim=None):
         raise GraphError(f"unknown catalog name {name!r}; choose from {NAMES}")
     family = FAMILIES[name]
     lo, hi = family.letters
-    if lo == hi:
-        if dim not in (None, lo):
-            raise GraphError(f"{name} is {_WORDS[lo]}-letter only")
-        n = lo
-    elif dim is None or (dim == 2 and family.gasket):
-        n = lo
-    elif dim < lo:
-        raise GraphError(f"{name} needs at least {_WORDS[lo]} letters")
-    elif dim > hi:
-        raise GraphError(f"{name} is limited to {hi} letters, got {dim}: {family.why}")
-    else:
-        n = dim
+    n = lo if dim is None or (dim == 2 and family.gasket) else dim
+    if n < lo:
+        raise GraphError(f"{name} needs at least {lo} letters")
+    if n > hi:
+        raise GraphError(f"{name} is limited to {hi} letters, got {n}: {family.why}")
     return family.cls(name, n, *family.make(n))
 
 
 def catalog_entries():
-    return [
-        {"name": name, "dims": family.dims, "holes": family.holes}
-        for name, family in FAMILIES.items()
-    ]
+    """Each family's name, letter counts and whether its graph has holes."""
+    entries = []
+    for name, family in FAMILIES.items():
+        lo, hi = family.letters
+        dims = str(lo) if lo == hi else f"{lo}-{hi}"
+        if family.gasket:
+            dims += " (or 2)"
+        entries.append({"name": name, "dims": dims, "holes": family.holes})
+    return entries
 
 
 # -- conjugacy -------------------------------------------------------------
@@ -609,7 +597,6 @@ def conjugacy_check(named, trials=100, steps=20, seed=0):
     for t in range(trials):
         x, v, y = sample_domain_point(named, rng)
         ref = x
-        ok = True
         try:
             for k in range(steps):
                 ref = named.reference_step(ref)
@@ -619,16 +606,13 @@ def conjugacy_check(named, trials=100, steps=20, seed=0):
                     failures.append(
                         {"trial": t, "step": k, "point": [str(c) for c in x]}
                     )
-                    ok = False
                     break
+            else:
+                agreements += 1
         except BoundaryTieError:
             ties += 1
-            continue
         except DomainEscape:
             escapes += 1
-            continue
-        if ok:
-            agreements += 1
     return {
         "trials": trials,
         "steps": steps,

@@ -34,6 +34,12 @@ from .stochastic import (
 from .thermo import hausdorff_bound, pressure_analysis
 
 
+# Most rows `measure --n` forms: brun(3) has 2**(n+1) - 2 paths of lengths 1
+# to n from its first vertex, and at n = 18 their 524 286 rows are 64 MB of
+# JSON.
+MAX_MEASURE_ROWS = 10**6
+
+
 class DomainFailure(click.ClickException):
     exit_code = 2
 
@@ -299,9 +305,21 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
             "relative": str(m / base_mass),
         })
     else:
+        # paths per end vertex, level by level, counted before any row forms
+        count, total, levels = {v: 1}, 0, 0
+        while count and levels < depth:
+            nxt = {}
+            for cur, c in count.items():
+                for _, _, dst in system.table[cur]:
+                    nxt[dst] = nxt.get(dst, 0) + c
+            count, levels = nxt, levels + 1
+            total += sum(count.values())
+            if total > MAX_MEASURE_ROWS:
+                raise DomainFailure(f"--n {depth} tabulates more than "
+                                    f"{MAX_MEASURE_ROWS} paths; lower --n")
         # each frontier entry carries q M_prefix, so a row costs one edge action
         frontier = [(v, [], q)]
-        for _ in range(depth):
+        for _ in range(levels):
             nxt = []
             for cur, pfx, qm in frontier:
                 for i, _, dst in system.table[cur]:

@@ -516,10 +516,6 @@ class _RunDraw:
         self.start, self.gap, self.run = total, gap, run
         return slot, total + run * gap
 
-    def rescale(self, e):
-        """Scale ``start`` and ``gap`` with q, by 2**e per lane."""
-        self.start, self.gap = np.ldexp(self.start, e), np.ldexp(self.gap, e)
-
     def first_fire(self, stop, walks, index, hit):
         """Step at which ``stop`` first fired on each ``hit`` lane.
 
@@ -602,13 +598,12 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, until):
     present = np.empty((trials, 0), dtype=np.int64)
     # every engine step moves each lane at least one step
     for step in range(max_steps + 1):
-        if step:
-            labels, loser = _step(table, lanes, draw)
-            present = np.array(labels).T
         if step % every == 0:
             e = _halvings(lanes.vals)
             lanes.vals, lanes.q0 = np.ldexp(lanes.vals, e), np.ldexp(lanes.q0, e)
-            draw.rescale(e[:, 0])
+        if step:
+            labels, loser = _step(table, lanes, draw)
+            present = np.array(labels).T
         walks = Walks(lanes.vals, lanes.q0, loser, present, lanes.step)
         for j, s in enumerate(stops):
             hit = lanes.pending[:, j] & s.fires(walks, index)

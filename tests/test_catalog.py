@@ -27,19 +27,41 @@ def test_catalog_lists_every_name():
 def test_build_rejects_unknown_name_and_bad_dims():
     with pytest.raises(GraphError):
         build("nope")
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^gauss is limited to 2 letters, got 3: "):
         build("gauss", 3)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^gauss needs at least 2 letters$"):
+        build("gauss", 1)
+    with pytest.raises(GraphError, match="^cassaigne is limited to 3 letters, got 4: "):
         build("cassaigne", 4)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^brun needs at least 3 letters$"):
         build("brun", 2)
-    for name in ("brun", "selmer-restricted", "arnoux-rauzy", "arp"):
+    for name in ("brun", "selmer-restricted", "arnoux-rauzy"):
         with pytest.raises(GraphError, match="limited to 7 letters"):
             build(name, 8)
     with pytest.raises(GraphError, match="limited to 14 letters, got 15"):
         build("poincare", 15)
     with pytest.raises(GraphError, match="limited to 16 letters, got 17"):
         build("fully-subtractive", 17)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 7])
+def test_arp_is_three_letter_only(dim):
+    with pytest.raises(GraphError, match=f"^arp is limited to 3 letters, got {dim}: "):
+        build("arp", dim)
+
+
+def test_catalog_lists_each_letter_range():
+    dims = {e["name"]: e["dims"] for e in catalog_entries()}
+    assert dims == {
+        "gauss": "2",
+        "fully-subtractive": "3-16",
+        "poincare": "3-14",
+        "brun": "3-7",
+        "selmer-restricted": "3-7",
+        "cassaigne": "3",
+        "arnoux-rauzy": "3-7 (or 2)",
+        "arp": "3 (or 2)",
+    }
 
 
 def test_gasket_family_accepts_simplex_dimension():
@@ -103,12 +125,16 @@ def test_cassaigne_step_commutes_with_reversal():
     ("gauss", 2),
     ("fully-subtractive", 3),
     ("poincare", 3),
+    ("fully-subtractive", 4),
     ("brun", 3),
     ("brun", 4),
+    ("brun", 5),
     ("selmer-restricted", 3),
     ("selmer-restricted", 4),
+    ("selmer-restricted", 5),
     ("cassaigne", 3),
     ("arnoux-rauzy", 3),
+    ("arnoux-rauzy", 4),
     ("arp", 3),
 ])
 def test_embed_project_round_trip(name, dim):
@@ -209,8 +235,7 @@ def _family_sizes():
 
 
 # SHA-256 of each family's graph JSON, sorted section and seeded conjugacy
-# check, at every letter count from the fewest to five.  arp at 4 and 5
-# letters, which the catalog lists as experimental, fails every trial.
+# check, at every letter count from the fewest to five.
 CATALOG_PINNED = {
     ("gauss", 2): "3c9dde35595b01c4f800223fe7406f89b785cc28d56fd126c39bcd4d81e26be1",
     ("fully-subtractive", 3): "9c41ac83acfb11043388b1033d59b62b34b514bae4f31b6d9cd4d288c2bc1818",
@@ -230,8 +255,6 @@ CATALOG_PINNED = {
     ("arnoux-rauzy", 4): "a9d3a9aa76060a5aed923c8feb9555223a6e1926852f23413c342be6d673257f",
     ("arnoux-rauzy", 5): "f96832c9da169895c202bda9360a445f39cc346a3370603e70b2e0bac0007965",
     ("arp", 3): "c0a1bcb7208c0a63cd15233e23e0e9adb0ab48f121dfa4747c19e3880e2598dd",
-    ("arp", 4): "2c8fd1b90efbc9c00f5d96660a0aeacf46a854d94028795fa0572f4500c85ef0",
-    ("arp", 5): "a9ec5063548a61e3ae00864c0924e5e084b2b7164047555e3cf2cb03b95404aa",
 }
 
 

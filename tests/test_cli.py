@@ -161,6 +161,41 @@ def test_walk_bad_point_is_exit_2(runner):
     assert r.exit_code == 2
 
 
+def test_measure_depth_is_bounded_before_any_row_forms(runner, monkeypatch):
+    monkeypatch.setattr(mcf.cli, "MAX_MEASURE_ROWS", 100)
+    args = ["measure", "--catalog", "brun", "--dim", "3", "--n"]
+    r = invoke(runner, *args, "5")
+    assert r.exit_code == 0
+    assert len(json.loads(r.output)["rows"]) == 62
+    r = runner.invoke(main, args + ["6"])
+    assert r.exit_code == 2
+    assert "--n 6 tabulates more than 100 paths; lower --n" in r.output
+
+
+@pytest.mark.parametrize("n", ["40", str(10**9)])
+def test_measure_huge_depth_is_exit_2(runner, n):
+    r = runner.invoke(main, ["measure", "--catalog", "brun", "--dim", "3", "--n", n])
+    assert r.exit_code == 2
+    assert f"--n {n} tabulates more than 1000000 paths" in r.output
+
+
+def test_measure_depth_stops_where_every_path_ends_in_a_hole(runner, tmp_path):
+    # the paths from v end in the hole h after two edges, so a huge --n
+    # gives the two rows of --n 2 at once
+    graph = {"alphabet": ["1", "2"], "vertices": ["v", "w", "h"],
+             "edges": [{"from": "v", "to": "w", "label": "1"},
+                       {"from": "w", "to": "h", "label": "2"}]}
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(graph))
+    rows = {}
+    for n in ("2", str(10**9)):
+        r = invoke(runner, "measure", "--graph", str(f), "--n", n)
+        assert r.exit_code == 0
+        rows[n] = json.loads(r.output)["rows"]
+    assert [r["path"] for r in rows["2"]] == ["1", "1,2"]
+    assert rows[str(10**9)] == rows["2"]
+
+
 def test_measure_single_path(runner):
     r = invoke(runner, "measure", "--catalog", "gauss", "--path", "1,2")
     d = json.loads(r.output)
@@ -319,6 +354,12 @@ def test_simulate_generates_and_records_seed_when_missing(runner):
                "--n", "10")
     d = json.loads(r.output)
     assert isinstance(d["params"]["seed"], int)
+
+
+def test_conjugacy_arp_at_four_letters_is_exit_2(runner):
+    r = runner.invoke(main, ["conjugacy", "--catalog", "arp", "--dim", "4"])
+    assert r.exit_code == 2
+    assert "arp is limited to 3 letters, got 4: " in r.output
 
 
 def test_conjugacy_command(runner):
