@@ -482,7 +482,6 @@ class _Family(NamedTuple):
     make: Callable  # letter count -> (graph, section, meta)
     letters: tuple  # fewest and most letters
     why: str  # why the letter count is bounded
-    holes: bool = False
     gasket: bool = False  # also accepts the simplex dimension 2 for 3 letters
 
 
@@ -503,7 +502,7 @@ FAMILIES = {
                          "its map acts on three coordinates"),
     "arnoux-rauzy": _Family(
         ArnouxRauzy, lambda n: _arnoux_rauzy_graph(n, "hole"),
-        (3, MAX_RANKING_DIM), _RANKINGS, holes=True, gasket=True),
+        (3, MAX_RANKING_DIM), _RANKINGS, gasket=True),
     "arp": _Family(
         ArnouxRauzyPoincare, lambda n: _arnoux_rauzy_graph(n, "recycle"),
         (3, 3), "its recycled exits linearize the map at three letters only",
@@ -537,7 +536,8 @@ def catalog_entries():
         dims = str(lo) if lo == hi else f"{lo}-{hi}"
         if family.gasket:
             dims += " (or 2)"
-        entries.append({"name": name, "dims": dims, "holes": family.holes})
+        holes = bool(family.make(lo)[0].holes)
+        entries.append({"name": name, "dims": dims, "holes": holes})
     return entries
 
 

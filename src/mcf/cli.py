@@ -38,6 +38,9 @@ from .thermo import hausdorff_bound, pressure_analysis
 # to n from its first vertex, and at n = 18 their 524 286 rows are 64 MB of
 # JSON.
 MAX_MEASURE_ROWS = 10**6
+# Most cells `simulate` forms: its walks record trials x n losers and carry
+# trials x (letters + 1) distortion coordinates.
+MAX_SIMULATE_CELLS = 10**8
 
 
 class DomainFailure(click.ClickException):
@@ -78,16 +81,11 @@ def _load_system(graph, catalog, dim):
     raise DomainFailure("a graph source is required: --graph FILE or --catalog NAME")
 
 
-def _parse_point(text, dim):
+def _parse_point(text):
     try:
-        parts = tuple(Fraction(p.strip()) for p in text.split(","))
+        return tuple(Fraction(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainFailure(f"bad point {text!r}: {exc}; expected e.g. 2/5,3/5")
-    if len(parts) != dim:
-        raise DomainFailure(f"point has {len(parts)} coordinates, graph needs {dim}")
-    if any(c <= 0 for c in parts):
-        raise DomainFailure("point coordinates must be positive")
-    return parts
 
 
 def _resolve_seed(seed):
@@ -209,8 +207,13 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
     if tau is not None and seed + system.dim >= 1 << 64:
         raise DomainFailure(f"--tau walks letter a with seed {seed} + 1 + a, "
                             "which must stay below 2**64")
+    cells = trials * (n_steps + system.dim + 1)
+    if cells > MAX_SIMULATE_CELLS:
+        raise DomainFailure(f"--trials {trials} with --n {n_steps} forms {cells} "
+                            f"cells, more than {MAX_SIMULATE_CELLS}; lower --n "
+                            "or --trials")
     base_vertex = system.vertices[0]
-    q = _parse_point(q0, system.dim) if q0 else tuple([1] * system.dim)
+    q = _parse_point(q0) if q0 else tuple([1] * system.dim)
     rec = batch_record_paths(system, base_vertex, q, n_steps, trials, seed)
     losses = np.zeros((trials, system.dim), dtype=bool)
     for a in range(system.dim):
@@ -250,7 +253,7 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
 def walk(graph, catalog_name, dim, point, vertex, n_steps, out):
     """Deterministic induction orbit of one point, as a JSONL trace."""
     system, _, source = _load_system(graph, catalog_name, dim)
-    x = _parse_point(point, system.dim)
+    x = _parse_point(point)
     v = vertex or system.vertices[0]
     lines = [json.dumps(_base("walk", source=source, point=point, vertex=v,
                               n=n_steps), sort_keys=True)]
@@ -282,7 +285,7 @@ def measure(graph, catalog_name, dim, path_text, vertex, depth, q0, out, fmt):
     system, _, source = _load_system(graph, catalog_name, dim)
     v = vertex or system.vertices[0]
     system.out_edges(v)  # raises on an unknown vertex, also for --n 0
-    q = _parse_point(q0, system.dim) if q0 else tuple([1] * system.dim)
+    q = _parse_point(q0) if q0 else tuple([1] * system.dim)
     payload = _base("measure", source=source, vertex=v, path=path_text,
                     n=depth, q0=[str(c) for c in q])
 

@@ -10,6 +10,7 @@ dynamics has a weakly contracting (simplicially nondegenerate) structure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
@@ -149,9 +150,14 @@ class SimplicialSystem:
             prev = e.dst
 
     def check_point(self, point, name="point"):
+        """The one check of a point or a distortion: a coordinate per letter,
+        each positive and finite."""
         if len(point) != self.dim:
             raise GraphError(f"{name} has {len(point)} coordinates, the system "
                              f"{self.dim} letters")
+        # int and Fraction compare with inf exactly, so 10**400 passes
+        if not all(0 < c < math.inf for c in point):
+            raise GraphError(f"{name} must be positive and finite")
 
     def path_labels(self, path):
         return tuple(self.edges[i].label for i in path)

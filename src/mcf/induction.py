@@ -1,7 +1,7 @@
 """Exact win-lose induction on projective simplices.
 
 Points live in the open simplex over the alphabet and are given as tuples of
-nonnegative ``Fraction`` (or int) coordinates.  A step at a vertex compares
+positive ``Fraction`` (or int) coordinates.  A step at a vertex compares
 the coordinates of the out-labels, declares the smallest one the loser,
 follows the edge carrying the loser label and subtracts the loser coordinate
 from every other out-label coordinate.  All comparisons are exact; floating
@@ -59,13 +59,6 @@ class StepRecord:
         }
 
 
-def _mass(point):
-    total = sum(point)
-    if total <= 0:
-        raise GraphError("point must have positive total mass")
-    return total
-
-
 def _integer_point(point):
     """The point times the lcm of its denominators: ``(integers, lcm)``."""
     point = [Fraction(x) for x in point]
@@ -77,8 +70,8 @@ def _advance(table, vertex, cur, unit=1):
     """One step on the integer coordinates ``cur``, in place.
 
     The smallest competing coordinate loses and is subtracted from the other
-    competing coordinates.  Returns the out-edge entry taken.  A tie reports
-    the tied coordinate divided by ``unit``.
+    competing coordinates, so a positive ``cur`` stays positive.  Returns
+    the out-edge entry taken; a tie reports its coordinate over ``unit``.
     """
     out = table[vertex]
     best = None
@@ -95,8 +88,6 @@ def _advance(table, vertex, cur, unit=1):
         raise BoundaryTieError(
             f"tied minimum {Fraction(low, unit)} among out-labels of {vertex!r}"
         )
-    if low <= 0:
-        raise GraphError("point has a nonpositive competing coordinate")
     li = best[1]
     for entry in out:
         if entry[1] != li:
@@ -114,11 +105,11 @@ def orbit(system, vertex, point, n):
     system.check_point(point)
     table = system.table
     cur, _ = _integer_point(point)
-    total = _mass(cur)
+    total = sum(cur)
     records = []
     for k in range(n):
         edge, li, dst = _advance(table, vertex, cur, total)
-        new_total = _mass(cur)
+        new_total = sum(cur)
         ratio = Fraction(new_total, total)
         records.append(StepRecord(k, vertex, edge, system.alphabet[li], ratio))
         vertex, total = dst, new_total
@@ -128,23 +119,23 @@ def orbit(system, vertex, point, n):
 def in_cylinder(system, path, point):
     """Whether ``point`` belongs to the open cone spanned by a path's matrix.
 
-    Equivalent to strict positivity of the point and of its pulled-back
-    coordinates; the edge inverses are applied in path order, each
-    subtracting the loser coordinate from the winners.
+    ``point`` is positive, as everywhere; it lies in the cone when its
+    pulled-back coordinates stay positive.  The edge inverses are applied in
+    path order, each subtracting the loser coordinate from the winners.
     """
     system.check_path(path)
     system.check_point(point)
     cur, _ = _integer_point(point)
     for i in path:
-        if min(cur) <= 0:
-            return False
         e = system.edges[i]
         li = system.label_index[e.label]
         low = cur[li]
         for entry in system.table[e.src]:
             if entry[1] != li:
                 cur[entry[1]] -= low
-    return min(cur) > 0
+        if min(cur) <= 0:
+            return False
+    return True
 
 
 def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
@@ -174,14 +165,14 @@ def induced_step(system, vertex, point, gamma_star, max_steps=10**6):
         raise GraphError(f"gamma_star must be a loop at {vertex!r}")
     table = system.table
     cur, _ = _integer_point(point)
-    start = total = _mass(cur)
+    start = total = sum(cur)
     coding = []
     v = vertex
     for _ in range(max_steps):
         entry = _advance(table, v, cur, total)
         v = entry[2]
         coding.append(entry[0])
-        total = _mass(cur)
+        total = sum(cur)
         if len(coding) >= 2 * m and coding[-m:] == star:
             back = mat_vec(system.path_matrix(star), cur)
             left = sum(back)

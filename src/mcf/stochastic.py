@@ -106,8 +106,6 @@ def edge_law(system, vertex, q):
     system.check_point(q, "q")
     weights = {i: Fraction(q[li]) for i, li, _ in system.table[vertex]}
     total = sum(weights.values())
-    if any(w <= 0 for w in weights.values()):
-        raise GraphError("q must be positive on the competing labels")
     return {i: w / total for i, w in weights.items()}
 
 
@@ -115,8 +113,6 @@ def cylinder_measure(system, path, q):
     """Projective mass of a path cylinder: (1/n!) prod_i 1/(q M_gamma)_i."""
     system.check_path(path)
     system.check_point(q, "q")
-    if any(c <= 0 for c in q):
-        raise GraphError("q must be positive")
     qm = [Fraction(c) for c in q]
     for i in path:
         system.act(i, [qm])
@@ -237,8 +233,6 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
         rng = make_rng(rng)
     system.check_point(q0, "q0")
     q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
-    if any(c <= 0 for c in q):
-        raise GraphError("q0 must be positive")
     system.out_edges(vertex)  # raises on an unknown vertex
     start = np.array([q], dtype=object)
     index = system.label_index
@@ -563,16 +557,13 @@ def _record_dtype(system):
 
 def _q_lanes(system, vertex, q0, trials):
     system.check_point(q0, "q0")
-    try:
-        q0 = [Fraction(c) for c in q0]
-    except (OverflowError, ValueError):  # an infinite or NaN float
-        raise GraphError("q0 must be positive") from None
+    q0 = [Fraction(c) for c in q0]
     # q is projective: scaled exactly by the power of two that brings its
     # largest coordinate near 1, q0 converts to floats at any scale
-    top = max(map(abs, q0))
+    top = max(q0)
     unit = Fraction(2) ** (top.numerator.bit_length() - top.denominator.bit_length())
     q = np.array([float(c / unit) for c in q0] + [0.0])
-    if not (q[:-1] > 0).all():
+    if not (q[:-1] > 0).all():  # underflowed against the largest coordinate
         raise GraphError("q0 must be positive")
     system.out_edges(vertex)  # raises on an unknown vertex
     return _Lanes(system.vertex_index[vertex], np.tile(q, (trials, 1)))

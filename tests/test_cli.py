@@ -88,6 +88,34 @@ def test_strict_criterion_failure_is_exit_3(runner):
     assert r.exit_code == 3
 
 
+@pytest.mark.parametrize("args, patch", [
+    (["pressure", "--catalog", "brun", "--dim", "3", "--L", "4", "--n", "1"], None),
+    (["conjugacy", "--catalog", "gauss", "--seed", "1", "--trials", "2"],
+     ("conjugacy_check", lambda *a, **k: {"failures": ["x"], "tie_rate": 0.0})),
+    (["dimension", "--catalog", "gauss", "--L", "4", "--n", "1"],
+     ("hausdorff_bound", lambda kappa, d: d)),
+])
+def test_strict_scientific_failures_are_exit_3(runner, monkeypatch, args, patch):
+    # brun(3)'s kappa-hat at L = 4 is 0.79, more than 1 from 3; no catalog
+    # system's truncated kappa reaches d, so the dimension bound is patched
+    if patch:
+        monkeypatch.setattr(mcf.cli, *patch)
+    assert invoke(runner, *args).exit_code == 0
+    r = runner.invoke(main, [*args, "--strict"])
+    assert r.exit_code == 3
+
+
+@pytest.mark.parametrize("text", ["{", "{}", None])
+def test_unloadable_graph_file_is_exit_2(runner, tmp_path, text):
+    # invalid JSON, a document without "edges", and a missing file
+    f = tmp_path / "g.json"
+    if text is not None:
+        f.write_text(text)
+    r = runner.invoke(main, ["validate", "--graph", str(f)])
+    assert r.exit_code == 2
+    assert "could not load graph file" in r.output
+
+
 def test_criterion_on_a_too_large_graph_file_is_exit_2(runner, tmp_path):
     letters = [str(i) for i in range(1, 18)]
     graph = {"alphabet": letters, "vertices": ["v"],
@@ -159,6 +187,10 @@ def test_walk_jsonl_trace(runner):
 def test_walk_bad_point_is_exit_2(runner):
     r = runner.invoke(main, ["walk", "--catalog", "gauss", "--point", "1/2"])
     assert r.exit_code == 2
+    for point in ("1,x", "1/0,1"):
+        r = runner.invoke(main, ["walk", "--catalog", "gauss", "--point", point])
+        assert r.exit_code == 2
+        assert f"bad point {point!r}" in r.output
 
 
 def test_measure_depth_is_bounded_before_any_row_forms(runner, monkeypatch):
@@ -270,6 +302,15 @@ def test_walk_and_measure_negative_n_is_exit_2(runner, args):
      "vertex 'X:2,1,3:0' has no out-edges"),
     (["measure", "--catalog", "gauss", "--vertex", "nowhere", "--n", "0"],
      "unknown vertex 'nowhere'"),
+    # the library checks a parsed point or distortion, naming it
+    (["walk", "--catalog", "gauss", "--point", "1/2"],
+     "point has 1 coordinates, the system 2 letters"),
+    (["walk", "--catalog", "gauss", "--point", "0,1"],
+     "point must be positive and finite"),
+    (["measure", "--catalog", "gauss", "--q0", "1,0", "--n", "1"],
+     "q must be positive and finite"),
+    (["simulate", "--catalog", "gauss", "--q0", "1,-1", "--seed", "1"],
+     "q0 must be positive and finite"),
 ])
 def test_walk_and_measure_library_errors_are_exit_2(runner, args, message):
     r = runner.invoke(main, args)
@@ -309,6 +350,16 @@ def test_simulate_out_of_range_is_exit_2(runner, args):
     r = runner.invoke(main, ["simulate", "--catalog", "gauss", "--seed", "1",
                              "--n", "10", *args])
     assert r.exit_code == 2
+
+
+def test_simulate_size_is_bounded_before_any_array_forms(runner, monkeypatch):
+    # trials x (n + letters + 1) cells: 10 x (97 + 3) is the most at 1000
+    monkeypatch.setattr(mcf.cli, "MAX_SIMULATE_CELLS", 1000)
+    args = ["simulate", "--catalog", "gauss", "--trials", "10", "--seed", "1", "--n"]
+    assert invoke(runner, *args, "97").exit_code == 0
+    r = runner.invoke(main, args + ["98"])
+    assert r.exit_code == 2
+    assert "forms 1010 cells, more than 1000" in r.output
 
 
 def test_simulate_q0_beyond_the_float_range_is_not_a_traceback(runner):

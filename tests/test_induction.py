@@ -27,7 +27,7 @@ def orbit_labels(system, vertex, point, n):
 
 
 def test_normalize_reject_nonpositive_mass():
-    with pytest.raises(GraphError, match="positive total mass"):
+    with pytest.raises(GraphError, match="point must be positive"):
         orbit(gauss(), "v", (0, 0), 1)
 
 
@@ -83,11 +83,13 @@ def test_in_cylinder_consistent_with_coding():
 
 def test_in_cylinder_holds_only_positive_points():
     # the empty path's cylinder is the open positive cone; a point with a
-    # zero or negative coordinate was once in it
+    # zero or negative coordinate was once in it; it is rejected, as by
+    # every other entry
     s = build("brun", 3).system
     assert in_cylinder(s, [], (1, 1, 1))
     for x in ((-1, 1, 1), (0, 1, 1)):
-        assert not in_cylinder(s, [], x)
+        with pytest.raises(GraphError, match="point must be positive and finite"):
+            in_cylinder(s, [], x)
 
 
 def test_path_norm_ratio_telescopes():
@@ -206,20 +208,23 @@ def test_gauss_orbit_is_subtractive_euclid(p, q):
 
 def test_induction_rejects_a_bad_point_or_start_vertex():
     # a short point once ended in an IndexError, a long one was read as if
-    # its extra coordinates were not there, and an unknown vertex ended in a
-    # KeyError
+    # its extra coordinates were not there, an infinite or NaN one ended in
+    # an OverflowError or ValueError, a zero one failed only once it
+    # competed, and an unknown vertex ended in a KeyError
     s = build("brun", 3).system
     v = s.vertices[0]
     gamma = find_positive_path(s)
     base = s.edges[gamma[0]].src
-    for point in ((1, 2), (1, 2, 3, 4)):
+    for point in ((1, 2), (1, 2, 3, 4), (1, math.inf, 3), (math.nan, 2, 3),
+                  (1, 2, 0), (1, -1, 3)):
+        problem = (f"has {len(point)} coordinates, the system 3 letters"
+                   if len(point) != 3 else "must be positive and finite")
         calls = (lambda: orbit(s, v, point, 3),
                  lambda: orbit(s, v, point, 0),
                  lambda: in_cylinder(s, [s.out_edges(v)[0]], point),
                  lambda: induced_step(s, base, point, gamma))
         for call in calls:
-            with pytest.raises(GraphError, match=f"point has {len(point)} "
-                               "coordinates, the system 3 letters"):
+            with pytest.raises(GraphError, match=f"point {problem}"):
                 call()
     with pytest.raises(GraphError, match="unknown vertex 'nowhere'"):
         orbit(s, "nowhere", (1, 2, 3), 3)

@@ -642,13 +642,17 @@ def test_engines_reject_an_unknown_vertex():
         estimate_order_prob(s, "nowhere", (1, 1, 1), Jump(2), Win("1"), 5, 1)
 
 
-@pytest.mark.parametrize("q0", [(1, 1), (1, 1, 1, 1)])
+@pytest.mark.parametrize("q0", [(1, 1), (1, 1, 1, 1), (math.inf, 1, 1),
+                                (1, math.nan, 1), (1, 1, 0), (1, -1, 1)])
 def test_engines_reject_a_q0_of_the_wrong_length(q0):
     # a short q0 once left letter 3 unable to lose, and a long one walked
-    # on a coordinate no edge reads
+    # on a coordinate no edge reads; an infinite or NaN q once ended the
+    # exact measures and walk in an OverflowError or ValueError
     s = brun3()
     v = s.vertices[0]
-    match = f"q0 has {len(q0)} coordinates, the system 3 letters"
+    problem = (f"has {len(q0)} coordinates, the system 3 letters"
+               if len(q0) != 3 else "must be positive and finite")
+    match = f"q0 {problem}"
     with pytest.raises(GraphError, match=match):
         batch_fire_steps(s, v, q0, [StepCount(5)], 10, 1, 5)
     with pytest.raises(GraphError, match=match):
@@ -659,7 +663,7 @@ def test_engines_reject_a_q0_of_the_wrong_length(q0):
         estimate_order_prob(s, v, q0, Lose("3"), Win("3"), 10, 1)
     # the exact measures: a long q once gave a result, a short one an
     # IndexError or, on the empty path, a wrong mass
-    match = f"q has {len(q0)} coordinates, the system 3 letters"
+    match = f"q {problem}"
     with pytest.raises(GraphError, match=match):
         edge_law(s, v, q0)
     with pytest.raises(GraphError, match=match):
