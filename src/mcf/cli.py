@@ -39,7 +39,8 @@ from .thermo import hausdorff_bound, pressure_analysis
 # JSON.
 MAX_MEASURE_ROWS = 10**6
 # Most cells `simulate` forms: its walks record trials x n losers and carry
-# trials x (letters + 1) distortion coordinates.
+# trials x (letters + 1) distortion coordinates.  With --tau, the firing loop
+# keeps about 5 cells of state a letter, and 16 more, for each trial.
 MAX_SIMULATE_CELLS = 10**8
 
 
@@ -207,11 +208,15 @@ def simulate(graph, catalog_name, dim, seed, trials, n_steps, q0, tau, out, fmt)
     if tau is not None and seed + system.dim >= 1 << 64:
         raise DomainFailure(f"--tau walks letter a with seed {seed} + 1 + a, "
                             "which must stay below 2**64")
-    cells = trials * (n_steps + system.dim + 1)
+    per_trial = n_steps + system.dim + 1
+    if tau is not None:
+        per_trial += 5 * system.dim + 16
+    cells = trials * per_trial
     if cells > MAX_SIMULATE_CELLS:
-        raise DomainFailure(f"--trials {trials} with --n {n_steps} forms {cells} "
-                            f"cells, more than {MAX_SIMULATE_CELLS}; lower --n "
-                            "or --trials")
+        with_tau = "" if tau is None else " and --tau"
+        raise DomainFailure(f"--trials {trials} with --n {n_steps}{with_tau} "
+                            f"forms {cells} cells, more than "
+                            f"{MAX_SIMULATE_CELLS}; lower --n or --trials")
     base_vertex = system.vertices[0]
     q = _parse_point(q0) if q0 else tuple([1] * system.dim)
     rec = batch_record_paths(system, base_vertex, q, n_steps, trials, seed)

@@ -139,15 +139,14 @@ class Walks(NamedTuple):
     alphabet.  ``loser`` is the label index of the last loser, -1 before the
     first step.  ``present`` holds the label indices that competed at the
     last source vertex, padded with indices past the alphabet, and has no
-    columns before the first step.  ``step`` counts the steps taken: one
-    int for every lane, or an array with one count per lane.
+    columns before the first step.  ``step`` counts each lane's steps taken.
     """
 
     q: np.ndarray
     q0: np.ndarray
     loser: np.ndarray
     present: np.ndarray
-    step: int
+    step: np.ndarray
 
 
 class StoppingTime:
@@ -207,7 +206,7 @@ class StepCount(StoppingTime):
     n: int
 
     def fires(self, walks, index):
-        return np.broadcast_to(walks.step >= self.n, walks.loser.shape)
+        return walks.step >= self.n
 
 
 @dataclass
@@ -232,7 +231,7 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
     if isinstance(rng, (int, np.integer)):
         rng = make_rng(rng)
     system.check_point(q0, "q0")
-    q = tuple(Fraction(c) if not isinstance(c, int) else c for c in q0)
+    q = [Fraction(c) if not isinstance(c, int) else c for c in q0]
     system.out_edges(vertex)  # raises on an unknown vertex
     start = np.array([q], dtype=object)
     index = system.label_index
@@ -240,22 +239,22 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
     loser, present = -1, ()
     while True:
         walks = Walks(np.array([q], dtype=object), start, np.array([loser]),
-                      np.array([present], dtype=np.int64), len(path))
+                      np.array([present], dtype=np.int64), np.array([len(path)]))
         for j, s in enumerate(stops):
             if j not in fired_at and s.fires(walks, index)[0]:
                 fired_at[j] = len(path)
         out = system.table[cur]
         if len(fired_at) == len(stops) or len(path) >= max_steps or not out:
             break
-        law = edge_law(system, cur, q)
-        u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53)
-        cumulative = itertools.accumulate(law.values())  # in table order
         present = tuple(entry[1] for entry in out)
-        i, loser, cur = next((e for e, c in zip(out, cumulative) if u < c), out[-1])
-        q = tuple(system.act(i, [list(q)])[0])
+        cumulative = list(itertools.accumulate(q[li] for li in present))
+        # u < c / total exactly when u * total < c; u < 1 always picks an edge
+        u = Fraction(int(rng.integers(0, 1 << 53)), 1 << 53) * cumulative[-1]
+        i, loser, cur = next(e for e, c in zip(out, cumulative) if u < c)
+        system.act(i, [q])
         path.append(i)
     truncated = len(fired_at) < len(stops)
-    return WalkOutcome(path, q, fired_at, truncated)
+    return WalkOutcome(path, tuple(q), fired_at, truncated)
 
 
 def estimate_order_prob(
@@ -688,6 +687,7 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
     table = _padded_table(system)
     rec = np.full((n_steps, trials), -1, dtype=_record_dtype(system))
     vals = np.empty((min(trials, _CODE_BLOCK), n + 1), dtype=np.int64)
+    first_tie = n_steps
     for pts, rows in _code_blocks(make_rng(seed), trials, n, bits):
         lanes = _Lanes(start, vals[:len(pts)])
         lanes.trial = rows
@@ -697,8 +697,15 @@ def batch_code_points(system, vertex, n_steps, trials, seed, bits=32):
             rec[step, lanes.trial] = _step(table, lanes, _exact_min)[1]
             # a tie at the minimum leaves a zero coordinate behind
             tied = _zero_rows(lanes.vals[:, :-1])
-            rec[step:, lanes.trial[tied]] = -2
+            if tied.any():
+                rec[step, lanes.trial[tied]] = -2
+                first_tie = min(first_tie, step)
             lanes.keep(~tied)
             if not lanes.trial.size:
                 break
+    # a tied walk takes no further step, so its later steps still hold -1:
+    # each is lowered to -2 where the step before holds -2, a whole step at a
+    # time
+    for step in range(first_tie + 1, n_steps):
+        rec[step] -= rec[step - 1] == -2
     return rec.T

@@ -360,6 +360,14 @@ def test_simulate_size_is_bounded_before_any_array_forms(runner, monkeypatch):
     r = runner.invoke(main, args + ["98"])
     assert r.exit_code == 2
     assert "forms 1010 cells, more than 1000" in r.output
+    # the firing loop of --tau keeps its lane state whatever --n is: 40 trials
+    # at --n 0 are 40 x 3 cells, with --tau 40 x (3 + 5 x 2 + 16)
+    args = ["simulate", "--catalog", "gauss", "--trials", "40", "--seed", "1",
+            "--n", "0"]
+    assert invoke(runner, *args).exit_code == 0
+    r = runner.invoke(main, args + ["--tau", "2"])
+    assert r.exit_code == 2
+    assert "--n 0 and --tau forms 1160 cells, more than 1000" in r.output
 
 
 def test_simulate_q0_beyond_the_float_range_is_not_a_traceback(runner):

@@ -302,7 +302,7 @@ class Seen(StoppingTime):
         self.n, self.steps, self.q = n, [], []
 
     def fires(self, walks, index):
-        self.steps.append(np.broadcast_to(walks.step, walks.loser.shape).copy())
+        self.steps.append(walks.step.copy())
         self.q.append(walks.q.copy())
         return StepCount(self.n).fires(walks, index)
 
@@ -743,16 +743,16 @@ def test_order_walks_stop_once_their_order_is_decided(monkeypatch):
 
 
 def test_exact_order_walks_stop_once_their_order_is_decided(monkeypatch):
-    # as above: one q-law draw decides every walk
+    # as above: one q-law draw decides every walk, and each step acts once
     calls = []
-    law = stochastic.edge_law
+    act = SimplicialSystem.act
 
     def counted(*args):
         calls.append(1)
-        return law(*args)
+        return act(*args)
 
-    monkeypatch.setattr(stochastic, "edge_law", counted)
     s = brun3()
+    monkeypatch.setattr(SimplicialSystem, "act", counted)
     r = exact_order_prob(s, s.vertices[0], (7, 2, 9), JumpCoord("1", 2),
                          Win("1"), 200, 3, max_steps=10**4, strict=True)
     assert len(calls) == 200
@@ -843,3 +843,34 @@ def test_seeded_trap_fire_steps_are_pinned():
     stops = [Lose("3"), Win("1"), JumpCoord("2", 8), StepCount(90)]
     fired = batch_fire_steps(trap(), "v", (4, 4, 1), stops, 400, 25, 150)
     assert _digest(fired) == TRAP_PINNED
+
+
+# SHA-256 of the seeded sample_walk outcomes below: 150 walks on each of five
+# cases, with Fraction, 400-digit and float coordinates of q0, walks into
+# holes and walks cut at max_steps.
+WALK_PINNED = "8cce8fa7a3a5fa14952abf3e5a6440de1d320c42866c93e3ed744365814f7e6e"
+
+
+def test_seeded_exact_walks_are_pinned():
+    cases = [
+        (gauss(), (Fraction(2, 3), Fraction(5, 7)),
+         [JumpCoord("1", 3), Win("1"), Lose("2"), Jump(5), StepCount(6)], 12),
+        (brun3(), (10**400, 3 * 10**400, 7), [Lose("1"), Win("1")], 40),
+        (build("brun", 4).system, (0.25, 1.5, 2.0, 3.1), [Lose("4"), Win("1")],
+         30),
+        (build("arnoux-rauzy", 3).system, (2, 3, 4), [Win("1"), Jump(6)], 30),
+        (build("poincare", 4).system, (1, 2, 3, 4),
+         [JumpCoord("2", 5), Lose("1")], 30),
+    ]
+    h = hashlib.sha256()
+    for k, (s, q0, stops, cap) in enumerate(cases):
+        for t in range(150):
+            o = sample_walk(s, s.vertices[0], q0, stops, make_rng(60 + k, t),
+                            max_steps=cap)
+            # exact, with the type, and in hex: Python caps the decimal
+            # digits of an int it converts to a string
+            q = [f"{type(c).__name__}:{c.numerator:x}/{c.denominator:x}"
+                 for c in o.final_q]
+            h.update(repr((o.path, q, sorted(o.fired_at.items()),
+                           o.truncated)).encode())
+    assert h.hexdigest() == WALK_PINNED
