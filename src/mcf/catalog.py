@@ -336,28 +336,21 @@ def _fully_subtractive_graph(n):
 
 
 def _poincare_graph(n):
+    """A vertex per set of lost letters, R for none; losing the (n - 1)-th
+    letter returns to R."""
     labels = _labels(n)
-    root = "R"
-    vertices = {root}
+
+    def name(letters):
+        return "P:" + ",".join(sorted(letters)) if letters else "R"
+
     edges = []
-    frontier = [(root, frozenset())]
-    while frontier:
-        nxt = []
-        for v, consumed in frontier:
-            remaining = [l for l in labels if l not in consumed]
-            for l in remaining:
-                left = consumed | {l}
-                if len(left) == n - 1:
-                    edges.append((v, root, l))
-                    continue
-                child = "P:" + ",".join(sorted(left))
-                edges.append((v, child, l))
-                if child not in vertices:
-                    vertices.add(child)
-                    nxt.append((child, left))
-        frontier = nxt
-    order = [root] + sorted(v for v in vertices if v != root)
-    return SimplicialSystem(labels, order, edges), {root: None}, {}
+    for k in range(n - 1):
+        for s in itertools.combinations(labels, k):
+            src = name(s)
+            edges += [(src, "R" if k == n - 2 else name(s + (l,)), l)
+                      for l in labels if l not in s]
+    subsets = sorted({src for src, _, _ in edges} - {"R"})
+    return SimplicialSystem(labels, ["R", *subsets], edges), {"R": None}, {}
 
 
 def _brun_chain(vertices, edges, labels, sigma, head, mid, end, exit_to):
@@ -384,29 +377,17 @@ def _brun_graph(n):
         white = _vname("B", sigma)
         section[white] = sigma
         _brun_chain(vertices, edges, labels, sigma, white, "B", white, "B")
-    return fold(SimplicialSystem(labels, vertices, edges)), section, {}
-
-
-def fold(system):
-    """Merge vertices with identical labeled out-edge maps until stable."""
-    names = {v: v for v in system.vertices}
-    while True:
-        sig = {}
-        for v, out in system.table.items():
-            key = tuple((li, names[dst]) for _, li, dst in out)
-            sig.setdefault(key, []).append(v)
-        changed = False
-        for group in sig.values():
-            rep = min(names[v] for v in group)
-            for v in group:
-                if names[v] != rep:
-                    names[v] = rep
-                    changed = True
-        if not changed:
-            break
-    kept = sorted({names[v] for v in system.vertices})
-    edges = dict.fromkeys((names[e.src], names[e.dst], e.label) for e in system.edges)
-    return SimplicialSystem(system.alphabet, kept, list(edges))
+    # The chain's last inner vertex at sigma loses sigma[1] to sigma's white
+    # vertex and sigma[0] to rot(sigma, 2), sigma with its first two ranks
+    # swapped, whose vertex has the same two edges: the two rankings share
+    # it, named for the ranking with the smaller head.  ``names`` also gives
+    # each edge its endpoints' vertex strings, one object per vertex.
+    names = {v: v for v in vertices}
+    for s in section.values():
+        names[_vname("B", s, n - 2)] = names[_vname("B", min(s, _rot(s, 2)), n - 2)]
+    edges = dict.fromkeys((names[a], names[b], l) for a, b, l in edges)
+    vertices = sorted(set(names.values()))
+    return SimplicialSystem(labels, vertices, list(edges)), section, {}
 
 
 def _selmer_graph(n):

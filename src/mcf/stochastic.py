@@ -209,6 +209,15 @@ class StepCount(StoppingTime):
         return walks.step >= self.n
 
 
+def _check_stops(system, stops):
+    """Raise on a stop that reads a letter outside the alphabet."""
+    for stop in stops:
+        label = getattr(stop, "label", None)
+        if label is not None and label not in system.label_index:
+            raise GraphError(f"stop {stop!r} reads letter {label!r}, which is "
+                             f"not in the alphabet")
+
+
 @dataclass
 class WalkOutcome:
     path: list
@@ -233,6 +242,7 @@ def sample_walk(system, vertex, q0, stops, rng, max_steps=10**6):
     system.check_point(q0, "q0")
     q = [Fraction(c) if not isinstance(c, int) else c for c in q0]
     system.out_edges(vertex)  # raises on an unknown vertex
+    _check_stops(system, stops)
     start = np.array([q], dtype=object)
     index = system.label_index
     cur, path, fired_at = vertex, [], {}
@@ -573,6 +583,7 @@ def _fire_steps(system, vertex, q0, stops, trials, seed, max_steps, until):
     fire.  A lane walks until ``until`` of its stops have fired.  Each
     engine step draws a whole self-loop run where the loser is a self-loop,
     so each lane counts its own steps."""
+    _check_stops(system, stops)
     # step counts are int64, and no walk takes 2**62 steps one at a time
     max_steps = min(max_steps, 2**62)
     table = _padded_table(system)

@@ -7,7 +7,9 @@ import pytest
 from mcf.catalog import (
     FAMILIES,
     NAMES,
+    Brun,
     DomainEscape,
+    NamedSystem,
     _projectively_equal,
     _section_return,
     build,
@@ -15,9 +17,9 @@ from mcf.catalog import (
     conjugacy_check,
     sample_domain_point,
 )
-from mcf.graph import GraphError
+from mcf.graph import GraphError, SimplicialSystem
 from mcf.induction import BoundaryTieError
-from mcf.stochastic import make_rng
+from mcf.stochastic import make_rng, sample_simplex_integers
 
 
 def test_catalog_lists_every_name():
@@ -155,6 +157,8 @@ def test_selmer_reference_and_domain():
     s = build("selmer-restricted", 3)
     assert s.in_domain((4, 3, 2))
     assert not s.in_domain((6, 2, 1))  # largest exceeds sum of two smallest
+    assert not s.in_domain((0, 3, 2))
+    assert not s.in_domain((4, -3, 2))
     assert s.reference_step((4, 3, 2)) == (2, 3, 2)
 
 
@@ -168,6 +172,8 @@ def test_arnoux_rauzy_escape():
     assert ar.reference_step((7, 2, 1)) == (4, 2, 1)
     with pytest.raises(DomainEscape):
         ar.reference_step((3, 2, 2.5))
+    with pytest.raises(BoundaryTieError, match="point on the critical wall"):
+        ar.reference_step((5, 3, 2))
 
 
 def test_section_return_into_a_hole_is_a_domain_escape():
@@ -175,6 +181,61 @@ def test_section_return_into_a_hole_is_a_domain_escape():
     v, y = ar.embed((5, 4, 3))
     with pytest.raises(DomainEscape, match="walk entered hole 'X:1,2,3:0'"):
         _section_return(ar, v, y)
+
+
+def test_section_return_gives_up_after_its_step_guard():
+    # the walk loops at v, and the section vertex w is never reached
+    graph = SimplicialSystem("12", ["v", "w"], [("v", "v", "1"), ("v", "v", "2")])
+    named = NamedSystem("loop", 2, graph, {"w": None})
+    with pytest.raises(GraphError, match="no section return within the step guard"):
+        _section_return(named, "v", (1, 100))
+
+
+def _as(cls, named):
+    return cls(named.name, named.dim, named.system, named.section, named.meta)
+
+
+def test_sample_domain_point_redraws_and_gives_up():
+    class TiedOnce(Brun):
+        ties = 1
+
+        def embed(self, x):
+            if self.ties:
+                self.ties -= 1
+                raise BoundaryTieError("tie")
+            return super().embed(x)
+
+    class Nowhere(Brun):
+        def in_domain(self, x):
+            return False
+
+    brun = build("brun", 3)
+    rng = make_rng(5)
+    sample_simplex_integers(rng, 3)
+    second = sample_simplex_integers(rng, 3)
+    assert sample_domain_point(_as(TiedOnce, brun), make_rng(5)) == (
+        second, *brun.embed(second))
+    with pytest.raises(GraphError, match="could not sample a domain point"):
+        sample_domain_point(_as(Nowhere, brun), make_rng(5))
+
+
+class _WrongBrun(Brun):
+    def reference_step(self, x):
+        return x
+
+
+class _TiedBrun(Brun):
+    def reference_step(self, x):
+        raise BoundaryTieError("tie")
+
+
+@pytest.mark.parametrize("cls, failed, tied", [(_WrongBrun, 12, 0), (_TiedBrun, 0, 12)])
+def test_conjugacy_check_counts_failures_and_ties(cls, failed, tied):
+    r = conjugacy_check(_as(cls, build("brun", 3)), trials=12, steps=5, seed=2)
+    assert len(r["failures"]) == failed and r["ties"] == tied
+    assert r["agreements"] == r["escapes"] == 0
+    assert r["tie_rate"] == tied / 12
+    assert all(f["step"] == 0 and len(f["point"]) == 3 for f in r["failures"])
 
 
 def test_arp_falls_back_instead_of_escaping():
@@ -265,3 +326,25 @@ def test_catalog_systems_are_pinned(name, dim):
     doc = [named.system.to_json(), sorted(named.section), result]
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
     assert digest == CATALOG_PINNED[name, dim]
+
+
+# SHA-256 of the graph JSON of the largest brun and poincare graphs.
+LARGE_PINNED = {
+    ("brun", 6): "0b672144c287feed52c4f07d9939f2b317d30b862384a569d5d4e6e1cda7e342",
+    ("brun", 7): "0fd45bacd1f5a73dc0ab666b14b9d60c1330c893bf9769dad55dd57b59c9f8ef",
+    ("poincare", 6): "66e7d23f90e179079d2b79e0030f12bee9eb2727500c471805529255385302bd",
+    ("poincare", 7): "15a0d7ee2a5a6defcea0e2846b7dc620b6af918714eda04e286b7a4e6feeedb9",
+    ("poincare", 8): "d1d27bc214ef2e8875b32e9ed72a706f59eb65eb735a4fb504f8b2b9391a8b9c",
+    ("poincare", 9): "d3706dfcb59b4f6dd9e2f13a0142fb78cff8901cda4348504d1e57ef90429765",
+    ("poincare", 10): "9d9a9fb7c3a84129493d864d5abbeb6316f499e344a0f1a0b7ec38e6989a5f9a",
+    ("poincare", 11): "41b4245f304416479c5c0e94d839000bd78ff3398378bc23a710e55c463e80aa",
+    ("poincare", 12): "625090f50714520f3891a7ab7f34a10673e25c75482315ecf4e295b69a0bb6ae",
+    ("poincare", 13): "512f03d13c7ee492f297213f3e898526596fb84e4d0b7e0bbbcfda786d4cf357",
+    ("poincare", 14): "8e7991a381a8ba7024bd1ba2e96222dcc8a6be2745f9489ca12f4c1fa836f87c",
+}
+
+
+@pytest.mark.parametrize("name, dim", list(LARGE_PINNED))
+def test_large_graphs_are_pinned(name, dim):
+    text = build(name, dim).system.to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_PINNED[name, dim]

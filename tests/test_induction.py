@@ -10,6 +10,7 @@ from mcf.catalog import build
 from mcf.graph import GraphError, find_positive_path, mat_vec
 from mcf.induction import (
     BoundaryTieError,
+    MaxStepsExceeded,
     in_cylinder,
     induced_step,
     orbit,
@@ -118,6 +119,17 @@ def test_induced_step_greedy_parse_round_trip():
     full = orbit_labels(s, "v", x, len(star) + len(word) + len(star))
     assert full == star + word + star
     assert 0 < ratio < 1
+
+
+def test_induced_step_needs_the_cylinder_and_a_return_within_max_steps():
+    s = gauss()
+    gamma = find_positive_path(s)
+    outside = (Fraction(8), Fraction(5))
+    assert not in_cylinder(s, gamma, outside)
+    with pytest.raises(GraphError, match="point is not in the inducing cylinder"):
+        induced_step(s, "v", outside, gamma)
+    with pytest.raises(MaxStepsExceeded, match="no return within 3 steps"):
+        induced_step(s, "v", (Fraction(5), Fraction(8)), gamma, max_steps=3)
 
 
 def _orbit_or_tie(system, vertex, point, n):

@@ -140,6 +140,9 @@ def test_edge_law_exact():
     assert law == {0: Fraction(2, 5), 1: Fraction(3, 5)}
     with pytest.raises(GraphError):
         edge_law(gauss(), "v", (0, 1))
+    ar = build("arnoux-rauzy", 3).system
+    with pytest.raises(GraphError, match="vertex 'X:1,2,3:0' is a hole"):
+        edge_law(ar, "X:1,2,3:0", (1, 1, 1))
 
 
 def test_cylinder_measure_base_value():
@@ -668,6 +671,20 @@ def test_engines_reject_a_q0_of_the_wrong_length(q0):
         edge_law(s, v, q0)
     with pytest.raises(GraphError, match=match):
         cylinder_measure(s, [], q0)
+
+
+def test_engines_reject_a_stop_on_a_letter_outside_the_alphabet():
+    # each once ended in a bare KeyError when the stop was first evaluated
+    s = brun3()
+    v = s.vertices[0]
+    calls = {
+        "'9'": lambda: estimate_order_prob(s, v, (1, 1, 1), Win("9"), Jump(2), 10, 1),
+        "'x'": lambda: sample_walk(s, v, (1, 1, 1), [JumpCoord("x", 2)], 1),
+        "1": lambda: batch_fire_steps(s, v, (1, 1, 1), [Lose(1)], 10, 1, 100),
+    }
+    for letter, call in calls.items():
+        with pytest.raises(GraphError, match=f"reads letter {letter}, which is not"):
+            call()
 
 
 def test_engines_walk_a_q0_beyond_the_float_range_like_its_scaled_copy():
